@@ -268,7 +268,7 @@ fn is_timing_path(file: &str) -> bool {
 fn is_hot_path(file: &str) -> bool {
     [
         "crates/core/src/checker.rs",
-        "crates/core/src/cached.rs",
+        "crates/core/src/store.rs",
         "crates/core/src/elide.rs",
         "crates/hetsim/src/timing.rs",
     ]
@@ -540,7 +540,7 @@ mod tests {
             "let v = table.get(&key).unwrap();\nlet w = row.expect(\"row\");\npanic!(\"boom\");\n";
         for file in [
             "crates/core/src/checker.rs",
-            "crates/core/src/cached.rs",
+            "crates/core/src/store.rs",
             "crates/core/src/elide.rs",
             "crates/hetsim/src/timing.rs",
         ] {

@@ -26,12 +26,15 @@ fn lint_fails_on_planted_fixture() {
             "planted fixture did not trip {expected}: {findings:#?}"
         );
     }
-    // Under a hot-path name the panic rule fires too.
-    let hot = lint_source("crates/core/src/checker.rs", PLANTED);
-    assert!(
-        hot.iter().any(|f| f.rule == "panic-in-hot-path"),
-        "planted fixture did not trip panic-in-hot-path: {hot:#?}"
-    );
+    // Under a hot-path name — the check pipeline or the capability
+    // store it fetches from — the panic rule fires too.
+    for file in ["crates/core/src/checker.rs", "crates/core/src/store.rs"] {
+        let hot = lint_source(file, PLANTED);
+        assert!(
+            hot.iter().any(|f| f.rule == "panic-in-hot-path"),
+            "planted fixture did not trip panic-in-hot-path in {file}: {hot:#?}"
+        );
+    }
     // This is exactly the condition under which the lint binary exits
     // non-zero, so CI would reject the fixture were it live code.
     assert!(!findings.is_empty());

@@ -4,36 +4,42 @@
 //!
 //! ## Subjects
 //!
-//! Three production paths are wrapped as [`Subject`]s:
+//! Every production path is one [`CheckerSubject`] — a [`CapChecker`]
+//! plus the harness's expected-flag bookkeeping — and [`subjects`] builds
+//! the whole zoo from one cache geometry:
 //!
-//! * [`UncachedSubject`] — the fixed-table [`CapChecker`];
-//! * [`CachedSubject`] — the [`CachedCapChecker`], with its sanctioned
+//! * `CapChecker` — the fixed-table store;
+//! * `CachedCapChecker` — the cache-backed store, with its sanctioned
 //!   fail-stop reconciled (see below);
-//! * [`DegradingSubject`] — the recovery path: starts cached, degrades
-//!   to a fresh uncached checker (re-granting every live capability,
+//! * `DegradedPath` — the recovery path: starts cached, degrades to a
+//!   fresh fixed-table checker (re-granting every live capability,
 //!   mirroring `HeteroSystem::degrade_to_uncached`) on the first
 //!   corruption detection *or* unconditionally at a fixed operation
-//!   index, so every seed exercises both halves of the path.
+//!   index, so every seed exercises both halves of the path;
+//! * `CapChecker+elide` / `CachedCapChecker+elide` — both stores with a
+//!   static verdict map installed, proving the map rather than trusting
+//!   it: an unsound map shows up as an ordinary divergence.
+//!
+//! The [`Subject`] trait is the seam tests use to insert a deliberately
+//! buggy implementation next to the production ones.
 //!
 //! ## Fail-stop reconciliation
 //!
-//! Injected cache corruption makes the cached checker *deny* with
+//! Injected cache corruption makes the cached store *deny* with
 //! [`DenyReason::InvalidTag`] and bump its corruption counter — that is
 //! its specified fail-stop, not a bug. The harness classifies such a
 //! denial (reason `InvalidTag` **and** counter increment) as a
 //! `fail_stop`, re-issues the check once (the corrupt line has been
-//! dropped, so the retry consults the backing store), and diffs the
-//! retry's verdict. An `InvalidTag` denial *without* a counter increment
-//! is a real divergence.
+//! dropped, so the retry consults the backing store — or, on the
+//! degrading path, the freshly degraded table), and diffs the retry's
+//! verdict. An `InvalidTag` denial *without* a counter increment is a
+//! real divergence.
 
 use crate::oracle::{Oracle, Verdict};
 use crate::stream::{self, Op};
-use capchecker::{
-    sweep_revoked, CachedCapChecker, CachedCheckerConfig, CapChecker, CheckerConfig,
-    StaticVerdictMap,
-};
+use capchecker::{sweep_revoked, CachedCheckerConfig, CapChecker, StaticVerdictMap};
 use cheri::{CapFault, Capability, Perms};
-use hetsim::{Access, DenyReason, MasterId, ObjectId, TaggedMemory, TaskId};
+use hetsim::{Access, Cycles, DenyReason, MasterId, ObjectId, TaggedMemory, TaskId};
 use ioprotect::{GrantError, IoProtection};
 use obs::{Event, EventKind};
 use std::collections::BTreeMap;
@@ -85,98 +91,130 @@ pub trait Subject {
     }
 }
 
-/// The fixed-table checker, verbatim.
-#[derive(Debug)]
-pub struct UncachedSubject {
+/// A production [`CapChecker`] under test: the checker, the exception
+/// flag its verdicts predict, and an optional degrade policy.
+#[derive(Clone, Debug)]
+pub struct CheckerSubject {
+    name: &'static str,
     checker: CapChecker,
     expected_flag: bool,
+    /// The degrade policy: the cache geometry (`cache_entries`,
+    /// `miss_penalty`) this subject re-promotes to, and the op index
+    /// before which it degrades unconditionally.
+    policy: Option<(usize, Cycles, u64)>,
+    degraded_at: Option<u64>,
+    current_op: u64,
 }
 
-impl UncachedSubject {
-    /// A Fine-mode checker with the paper's 256-entry table.
+impl CheckerSubject {
+    /// `checker`, verbatim, under `name`.
     #[must_use]
-    pub fn new() -> UncachedSubject {
-        UncachedSubject {
-            checker: CapChecker::new(CheckerConfig::fine()),
+    pub fn new(name: &'static str, checker: CapChecker) -> CheckerSubject {
+        CheckerSubject {
+            name,
+            checker,
             expected_flag: false,
+            policy: None,
+            degraded_at: None,
+            current_op: 0,
         }
     }
-}
 
-impl Default for UncachedSubject {
-    fn default() -> UncachedSubject {
-        UncachedSubject::new()
-    }
-}
-
-impl Subject for UncachedSubject {
-    fn name(&self) -> &'static str {
-        "CapChecker"
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
+    /// The recovery path: cached on `config` until its first corruption
+    /// detection or op `degrade_after`, whichever comes first, then
+    /// degraded to a fixed table over `config.base`.
+    #[must_use]
+    pub fn degrading(
+        name: &'static str,
+        config: CachedCheckerConfig,
+        degrade_after: u64,
+    ) -> CheckerSubject {
+        CheckerSubject {
+            policy: Some((config.cache_entries, config.miss_penalty, degrade_after)),
+            ..CheckerSubject::new(name, CapChecker::cached(config))
+        }
     }
 
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
+    /// The checker under test.
+    #[must_use]
+    pub fn checker(&self) -> &CapChecker {
+        &self.checker
     }
 
-    fn check(&mut self, access: &Access) -> Checked {
-        let verdict = match self.checker.check(access) {
+    /// Mutable access to the checker under test.
+    pub fn checker_mut(&mut self) -> &mut CapChecker {
+        &mut self.checker
+    }
+
+    /// Rebuilds the checker on its own store kind and mode — a fresh
+    /// checker with the same entries (`HeteroSystem`'s mode-switch
+    /// rebuild, minus the address-view change).
+    pub fn rebuild(&mut self) {
+        self.rebuild_into(self.checker.fresh(self.checker.mode()));
+    }
+
+    /// Degrades a cached subject with a degrade policy to the fixed
+    /// table. Returns `false` (and changes nothing) otherwise.
+    pub fn degrade(&mut self) -> bool {
+        if self.policy.is_none() || !self.checker.is_cached() {
+            return false;
+        }
+        self.rebuild_into(CapChecker::new(*self.checker.config()));
+        self.degraded_at = Some(self.current_op);
+        true
+    }
+
+    /// Re-promotes a degraded subject to its policy's cache. Returns
+    /// `false` (and changes nothing) when there is nothing to re-promote.
+    pub fn repromote(&mut self) -> bool {
+        match self.policy {
+            Some((cache_entries, miss_penalty, _)) if !self.checker.is_cached() => {
+                self.rebuild_into(CapChecker::cached(CachedCheckerConfig {
+                    cache_entries,
+                    miss_penalty,
+                    base: *self.checker.config(),
+                }));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Swaps in `fresh` with every live capability re-granted from the
+    /// old store's own entries, in `(task, object)` order. The fresh
+    /// checker starts with a clear exception flag.
+    fn rebuild_into(&mut self, mut fresh: CapChecker) {
+        for (task, object, cap) in self.checker.entries() {
+            fresh
+                .grant(task, object, &cap)
+                .expect("live capabilities fit the replacement store");
+        }
+        self.checker = fresh;
+        self.expected_flag = false;
+    }
+
+    /// Judges `access` once, latching the expected flag on a denial.
+    fn judge(&mut self, access: &Access) -> Verdict {
+        match self.checker.check(access) {
             Ok(()) => Verdict::Granted,
             Err(denial) => {
                 self.expected_flag = true;
                 Verdict::Denied(denial.reason)
             }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-}
-
-/// The cached checker with fail-stop reconciliation.
-#[derive(Debug)]
-pub struct CachedSubject {
-    checker: CachedCapChecker,
-    expected_flag: bool,
-}
-
-impl CachedSubject {
-    /// A cached Fine-mode checker with the default 16-entry cache.
-    #[must_use]
-    pub fn new() -> CachedSubject {
-        CachedSubject {
-            checker: CachedCapChecker::new(CachedCheckerConfig::default()),
-            expected_flag: false,
         }
     }
 }
 
-impl Default for CachedSubject {
-    fn default() -> CachedSubject {
-        CachedSubject::new()
-    }
-}
-
-impl Subject for CachedSubject {
+impl Subject for CheckerSubject {
     fn name(&self) -> &'static str {
-        "CachedCapChecker"
+        self.name
+    }
+
+    fn begin_op(&mut self, index: u64) {
+        self.current_op = index;
+        if self.policy.is_some_and(|(_, _, after)| index >= after) {
+            self.degrade();
+        }
     }
 
     fn grant(
@@ -185,11 +223,11 @@ impl Subject for CachedSubject {
         object: ObjectId,
         cap: &Capability,
     ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
+        self.checker.grant(task, object, cap)
     }
 
     fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
+        self.checker.revoke_task(task);
     }
 
     fn check(&mut self, access: &Access) -> Checked {
@@ -204,378 +242,41 @@ impl Subject for CachedSubject {
                     && self.checker.corruption_detected() > before =>
             {
                 // Sanctioned fail-stop: the corrupt line was detected and
-                // dropped. The retry consults the intact backing store.
-                self.expected_flag = true;
-                let verdict = match self.checker.check(access) {
-                    Ok(()) => Verdict::Granted,
-                    Err(retry) => Verdict::Denied(retry.reason),
-                };
-                Checked {
-                    verdict,
-                    fail_stop: true,
-                }
-            }
-            Err(denial) => {
-                self.expected_flag = true;
-                Checked {
-                    verdict: Verdict::Denied(denial.reason),
-                    fail_stop: false,
-                }
-            }
-        }
-    }
-
-    fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        let flip = u128::from(flip) | (u128::from(flip) << 64);
-        if on_insert {
-            self.checker.corrupt_next_insert(flip);
-        } else {
-            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-}
-
-/// The fixed-table checker running with a static verdict map installed.
-///
-/// This is how an analyzer result gets *proved* rather than trusted:
-/// pairs the map marks safe skip the per-beat check and answer
-/// `Granted` unchecked, and the harness diffs every one of those
-/// answers against the oracle. An unsound map — one that marks a pair
-/// safe whose stream contains a denial — shows up as an ordinary
-/// divergence.
-#[derive(Debug)]
-pub struct ElidedSubject {
-    checker: CapChecker,
-    expected_flag: bool,
-}
-
-impl ElidedSubject {
-    /// A Fine-mode checker with `map` installed.
-    #[must_use]
-    pub fn new(map: StaticVerdictMap) -> ElidedSubject {
-        let mut checker = CapChecker::new(CheckerConfig::fine());
-        checker.set_static_verdicts(map);
-        ElidedSubject {
-            checker,
-            expected_flag: false,
-        }
-    }
-}
-
-impl Subject for ElidedSubject {
-    fn name(&self) -> &'static str {
-        "CapChecker+elide"
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        let verdict = match self.checker.check(access) {
-            Ok(()) => Verdict::Granted,
-            Err(denial) => {
-                self.expected_flag = true;
-                Verdict::Denied(denial.reason)
-            }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-
-    fn checks_elided(&self) -> u64 {
-        self.checker.stats().elided
-    }
-
-    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
-        self.checker.set_static_verdicts(map.clone());
-    }
-}
-
-/// The cached checker with a static verdict map installed (and the
-/// usual fail-stop reconciliation for the pairs that still hit the
-/// cache). Elided accesses never touch the cache, so they are immune to
-/// injected corruption — which is itself a differential fact the oracle
-/// confirms: the verdict stays `Granted` either way.
-#[derive(Debug)]
-pub struct ElidedCachedSubject {
-    checker: CachedCapChecker,
-    expected_flag: bool,
-}
-
-impl ElidedCachedSubject {
-    /// A cached Fine-mode checker with `map` installed.
-    #[must_use]
-    pub fn new(map: StaticVerdictMap) -> ElidedCachedSubject {
-        let mut checker = CachedCapChecker::new(CachedCheckerConfig::default());
-        checker.set_static_verdicts(map);
-        ElidedCachedSubject {
-            checker,
-            expected_flag: false,
-        }
-    }
-}
-
-impl Subject for ElidedCachedSubject {
-    fn name(&self) -> &'static str {
-        "CachedCapChecker+elide"
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        IoProtection::grant(&mut self.checker, task, object, cap)
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        IoProtection::revoke_task(&mut self.checker, task);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        let before = self.checker.corruption_detected();
-        match self.checker.check(access) {
-            Ok(()) => Checked {
-                verdict: Verdict::Granted,
-                fail_stop: false,
-            },
-            Err(denial)
-                if denial.reason == DenyReason::InvalidTag
-                    && self.checker.corruption_detected() > before =>
-            {
-                self.expected_flag = true;
-                let verdict = match self.checker.check(access) {
-                    Ok(()) => Verdict::Granted,
-                    Err(retry) => Verdict::Denied(retry.reason),
-                };
-                Checked {
-                    verdict,
-                    fail_stop: true,
-                }
-            }
-            Err(denial) => {
-                self.expected_flag = true;
-                Checked {
-                    verdict: Verdict::Denied(denial.reason),
-                    fail_stop: false,
-                }
-            }
-        }
-    }
-
-    fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        let flip = u128::from(flip) | (u128::from(flip) << 64);
-        if on_insert {
-            self.checker.corrupt_next_insert(flip);
-        } else {
-            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
-        }
-    }
-
-    fn exception_flag(&self) -> bool {
-        self.checker.exception_flag()
-    }
-
-    fn expected_exception_flag(&self) -> bool {
-        self.expected_flag
-    }
-
-    fn checks_elided(&self) -> u64 {
-        self.checker.cache_stats().elided
-    }
-
-    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
-        self.checker.set_static_verdicts(map.clone());
-    }
-}
-
-/// The recovery path: cached until corruption is detected (or a forced
-/// midpoint), then degraded to a fresh uncached checker with every live
-/// capability re-granted — mirroring `HeteroSystem::degrade_to_uncached`.
-#[derive(Debug)]
-pub struct DegradingSubject {
-    cached: Option<CachedCapChecker>,
-    fixed: Option<CapChecker>,
-    /// Live grants, replayed into the replacement checker on
-    /// degradation. `BTreeMap` so the re-grant order is deterministic.
-    live: BTreeMap<(u32, u16), Capability>,
-    base: CheckerConfig,
-    degrade_after: u64,
-    degraded_at: Option<u64>,
-    current_op: u64,
-    expected_flag: bool,
-}
-
-impl DegradingSubject {
-    /// Starts cached; unconditionally degrades before op
-    /// `degrade_after` even if no corruption is ever detected, so both
-    /// halves of the path run under every seed.
-    #[must_use]
-    pub fn new(degrade_after: u64) -> DegradingSubject {
-        let config = CachedCheckerConfig::default();
-        DegradingSubject {
-            cached: Some(CachedCapChecker::new(config)),
-            fixed: None,
-            live: BTreeMap::new(),
-            base: config.base,
-            degrade_after,
-            degraded_at: None,
-            current_op: 0,
-            expected_flag: false,
-        }
-    }
-
-    fn degrade(&mut self, at: u64) {
-        let mut replacement = CapChecker::new(self.base);
-        for ((task, object), cap) in &self.live {
-            IoProtection::grant(&mut replacement, TaskId(*task), ObjectId(*object), cap)
-                .expect("live capabilities fit the replacement table");
-        }
-        self.cached = None;
-        self.fixed = Some(replacement);
-        self.degraded_at = Some(at);
-        // The replacement checker starts with a clear exception flag.
-        self.expected_flag = false;
-    }
-}
-
-impl Subject for DegradingSubject {
-    fn name(&self) -> &'static str {
-        "DegradedPath"
-    }
-
-    fn begin_op(&mut self, index: u64) {
-        self.current_op = index;
-        if self.cached.is_some() && index >= self.degrade_after {
-            self.degrade(index);
-        }
-    }
-
-    fn grant(
-        &mut self,
-        task: TaskId,
-        object: ObjectId,
-        cap: &Capability,
-    ) -> Result<(), GrantError> {
-        let result = match (&mut self.cached, &mut self.fixed) {
-            (Some(cached), _) => IoProtection::grant(cached, task, object, cap),
-            (None, Some(fixed)) => IoProtection::grant(fixed, task, object, cap),
-            (None, None) => unreachable!("one checker is always active"),
-        };
-        if result.is_ok() {
-            self.live.insert((task.0, object.0), *cap);
-        }
-        result
-    }
-
-    fn revoke_task(&mut self, task: TaskId) {
-        match (&mut self.cached, &mut self.fixed) {
-            (Some(cached), _) => IoProtection::revoke_task(cached, task),
-            (None, Some(fixed)) => IoProtection::revoke_task(fixed, task),
-            (None, None) => unreachable!("one checker is always active"),
-        }
-        self.live.retain(|(t, _), _| *t != task.0);
-    }
-
-    fn check(&mut self, access: &Access) -> Checked {
-        if let Some(cached) = &mut self.cached {
-            let before = cached.corruption_detected();
-            return match cached.check(access) {
-                Ok(()) => Checked {
-                    verdict: Verdict::Granted,
-                    fail_stop: false,
-                },
-                Err(denial)
-                    if denial.reason == DenyReason::InvalidTag
-                        && cached.corruption_detected() > before =>
-                {
-                    // First corruption detection: this is the recovery
-                    // path, so degrade now and re-judge on the
-                    // replacement checker.
-                    let at = self.current_op;
-                    self.degrade(at);
-                    let fixed = self.fixed.as_mut().expect("just degraded");
-                    let verdict = match fixed.check(access) {
-                        Ok(()) => Verdict::Granted,
-                        Err(retry) => {
-                            self.expected_flag = true;
-                            Verdict::Denied(retry.reason)
-                        }
-                    };
-                    Checked {
-                        verdict,
-                        fail_stop: true,
-                    }
-                }
-                Err(denial) => {
+                // dropped. The degrading path degrades now; either way
+                // the retry consults intact capabilities.
+                if !self.degrade() {
                     self.expected_flag = true;
-                    Checked {
-                        verdict: Verdict::Denied(denial.reason),
-                        fail_stop: false,
-                    }
                 }
-            };
-        }
-        let fixed = self.fixed.as_mut().expect("one checker is always active");
-        let verdict = match fixed.check(access) {
-            Ok(()) => Verdict::Granted,
+                Checked {
+                    verdict: self.judge(access),
+                    fail_stop: true,
+                }
+            }
             Err(denial) => {
                 self.expected_flag = true;
-                Verdict::Denied(denial.reason)
+                Checked {
+                    verdict: Verdict::Denied(denial.reason),
+                    fail_stop: false,
+                }
             }
-        };
-        Checked {
-            verdict,
-            fail_stop: false,
         }
     }
 
     fn corrupt_cache(&mut self, slot: u8, flip: u64, on_insert: bool) {
-        if let Some(cached) = &mut self.cached {
-            let flip = u128::from(flip) | (u128::from(flip) << 64);
-            if on_insert {
-                cached.corrupt_next_insert(flip);
-            } else {
-                let _hit = cached.corrupt_cache_slot(usize::from(slot), flip);
-            }
+        let flip = u128::from(flip) | (u128::from(flip) << 64);
+        if on_insert {
+            self.checker.corrupt_next_insert(flip);
+        } else {
+            let _hit = self.checker.corrupt_cache_slot(usize::from(slot), flip);
         }
     }
 
+    fn install_verdicts(&mut self, map: &StaticVerdictMap) {
+        self.checker.set_static_verdicts(map.clone());
+    }
+
     fn exception_flag(&self) -> bool {
-        match (&self.cached, &self.fixed) {
-            (Some(cached), _) => cached.exception_flag(),
-            (None, Some(fixed)) => fixed.exception_flag(),
-            (None, None) => unreachable!("one checker is always active"),
-        }
+        self.checker.exception_flag()
     }
 
     fn expected_exception_flag(&self) -> bool {
@@ -585,6 +286,25 @@ impl Subject for DegradingSubject {
     fn degraded_at(&self) -> Option<u64> {
         self.degraded_at
     }
+
+    fn checks_elided(&self) -> u64 {
+        self.checker.stats().elided
+    }
+}
+
+/// The production subject zoo over one cache geometry, in order: the
+/// fixed table on `config.base`, the cache on `config`, the degrading
+/// path (see [`CheckerSubject::degrading`]), then an elision-enabled
+/// table and cache with no verdict map installed yet.
+#[must_use]
+pub fn subjects(config: CachedCheckerConfig, degrade_after: u64) -> [CheckerSubject; 5] {
+    [
+        CheckerSubject::new("CapChecker", CapChecker::new(config.base)),
+        CheckerSubject::new("CachedCapChecker", CapChecker::cached(config)),
+        CheckerSubject::degrading("DegradedPath", config, degrade_after),
+        CheckerSubject::new("CapChecker+elide", CapChecker::new(config.base)),
+        CheckerSubject::new("CachedCapChecker+elide", CapChecker::cached(config)),
+    ]
 }
 
 /// How many ops of each kind a run replayed (corpus composition).
@@ -665,11 +385,17 @@ impl RunOutcome {
 /// (forced to degrade at the stream midpoint so both halves run).
 #[must_use]
 pub fn default_subjects(ops_len: usize) -> Vec<Box<dyn Subject>> {
-    vec![
-        Box::new(UncachedSubject::new()),
-        Box::new(CachedSubject::new()),
-        Box::new(DegradingSubject::new(ops_len as u64 / 2)),
-    ]
+    let [table, cache, degrading, _, _] =
+        subjects(CachedCheckerConfig::default(), ops_len as u64 / 2);
+    vec![Box::new(table), Box::new(cache), Box::new(degrading)]
+}
+
+/// The two elision-enabled subjects (plain and cached), carrying `map`.
+fn elided_subjects(map: &StaticVerdictMap) -> Vec<Box<dyn Subject>> {
+    let [_, _, _, mut table, mut cache] = subjects(CachedCheckerConfig::default(), u64::MAX);
+    table.install_verdicts(map);
+    cache.install_verdicts(map);
+    vec![Box::new(table), Box::new(cache)]
 }
 
 /// Replays `ops` through the standard subjects and the oracle.
@@ -683,13 +409,7 @@ pub fn run_ops(ops: &[Op]) -> RunOutcome {
 /// analyzer's verdict map is sound for this stream.
 #[must_use]
 pub fn run_ops_elided(ops: &[Op], map: &StaticVerdictMap) -> RunOutcome {
-    run_stream(
-        ops,
-        vec![
-            Box::new(ElidedSubject::new(map.clone())),
-            Box::new(ElidedCachedSubject::new(map.clone())),
-        ],
-    )
+    run_stream(ops, elided_subjects(map))
 }
 
 /// Replays `ops` through elision-enabled subjects, re-installing a new
@@ -700,14 +420,7 @@ pub fn run_ops_elided(ops: &[Op], map: &StaticVerdictMap) -> RunOutcome {
 /// replaces the initial empty map before any op runs).
 #[must_use]
 pub fn run_ops_elided_segments(ops: &[Op], segments: &[(u64, StaticVerdictMap)]) -> RunOutcome {
-    run_stream_with_installs(
-        ops,
-        vec![
-            Box::new(ElidedSubject::new(StaticVerdictMap::new())),
-            Box::new(ElidedCachedSubject::new(StaticVerdictMap::new())),
-        ],
-        segments,
-    )
+    run_stream_with_installs(ops, elided_subjects(&StaticVerdictMap::new()), segments)
 }
 
 /// Builds the capability a [`Op::Grant`] would install — the one

@@ -32,8 +32,7 @@
 //! campaign re-run with the controller in charge of degradation,
 //! re-promotion, and quarantine release.
 
-use crate::cached::CachedCheckerConfig;
-use crate::config::CheckerMode;
+use crate::config::{CachedCheckerConfig, CheckerMode};
 use crate::recovery::{
     audit_task_tags, synthetic_kernel, CampaignConfig, CampaignReport, RecoveryOutcome, Resolution,
     TaskRecord, WatchdogEngine,

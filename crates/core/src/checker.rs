@@ -1,15 +1,20 @@
 //! The CapChecker itself — Figure 5's hardware block.
 //!
 //! The checker sits between the accelerator functional units and the
-//! memory controller. It holds imported capabilities in a
-//! [`CapabilityTable`], decodes them, and vets every DMA request:
+//! memory controller. It holds imported capabilities in a capability
+//! store, decodes them, and vets every DMA request:
 //!
 //! 1. recover the object identity (port metadata in *Fine* mode, top
 //!    address bits in *Coarse* mode);
 //! 2. fetch and decode the `(task, object)` capability;
 //! 3. check tag, permissions, and bounds;
-//! 4. grant — or raise an exception: set the global flag, set the entry's
-//!    exception bit, and refuse the request.
+//! 4. grant — or raise an exception: set the global flag, record the
+//!    offending pair, and refuse the request.
+//!
+//! The store is either the paper's fixed [`CapabilityTable`]
+//! ([`CapChecker::new`]) or §5.2.3's cache over a memory-resident table
+//! ([`CapChecker::cached`]); everything else — provenance, elision, attribution, the exception latch — is one
+//! pipeline shared by both.
 //!
 //! Writes that *are* granted still clear memory tags downstream (the
 //! system's write path is capability-unaware), which is what makes
@@ -19,13 +24,15 @@
 //! interconnect, exposed here as an MMIO register map ([`regs`]).
 
 use crate::attrib::CheckAttribution;
-use crate::config::{CheckerConfig, CheckerMode};
+use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{StaticVerdictMap, VerdictBitmap};
-use crate::table::{CapabilityTable, TableEntry};
+use crate::store::{CacheStats, CapCache, Store};
+use crate::table::CapabilityTable;
 use cheri::{Capability, CompressedCapability, Perms};
 use hetsim::mmio::MmioDevice;
-use hetsim::{Access, AccessKind, Denial, DenyReason, ObjectId, TaskId};
+use hetsim::{Access, AccessKind, Cycles, Denial, DenyReason, ObjectId, TaskId};
 use ioprotect::{GrantError, Granularity, IoProtection, MechanismProperties};
+use obs::Registry;
 use std::fmt;
 
 /// MMIO register offsets of the capability-import interface.
@@ -65,23 +72,6 @@ pub mod regs {
 
 pub use obs::stats::CheckerStats;
 
-/// Architectural state of a [`CapChecker`] captured by
-/// [`CapChecker::snapshot`]: the table contents (in slot order, with
-/// per-entry exception bits) plus the latched global exception flag.
-///
-/// Performance counters, MMIO staging, attribution, and any installed
-/// static-verdict map are *not* captured — a snapshot records what the
-/// checker enforces, not how fast or why. The bounded model checker
-/// forks thousands of these per run, so they stay small on purpose.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckerSnapshot {
-    /// Occupied entries in slot order: task, object, capability, and the
-    /// entry's exception bit.
-    pub entries: Vec<(TaskId, ObjectId, Capability, bool)>,
-    /// The latched global exception flag.
-    pub exception_flag: bool,
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct Staging {
     lo: u64,
@@ -92,12 +82,12 @@ struct Staging {
     status: u64,
 }
 
-/// The CAPability Checker.
+/// The CAPability Checker, over either capability store.
 ///
 /// # Examples
 ///
 /// ```
-/// use capchecker::{CapChecker, CheckerConfig};
+/// use capchecker::{CachedCheckerConfig, CapChecker, CheckerConfig};
 /// use cheri::{Capability, Perms};
 /// use hetsim::{Access, MasterId, ObjectId, TaskId};
 /// use ioprotect::IoProtection;
@@ -113,13 +103,20 @@ struct Staging {
 /// let oob = Access::read(MasterId(1), TaskId(1), 0x1100, 16).with_object(ObjectId(0));
 /// assert!(checker.check(&oob).is_err());
 /// assert!(checker.exception_flag());
+///
+/// // The cache-backed store: same verdicts, plus hit/miss accounting.
+/// let mut cached = CapChecker::cached(CachedCheckerConfig::default());
+/// cached.grant(TaskId(1), ObjectId(0), &cap)?;
+/// cached.check(&ok)?; // cold: table walk
+/// cached.check(&ok)?; // warm: cache hit
+/// assert_eq!((cached.cache_stats().misses, cached.cache_stats().hits), (1, 1));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct CapChecker {
     config: CheckerConfig,
-    table: CapabilityTable,
+    store: Store,
     staging: Staging,
     exception_flag: bool,
     stats: CheckerStats,
@@ -130,16 +127,31 @@ pub struct CapChecker {
     /// elision decisions and counters match the map-walk semantics
     /// byte-for-byte.
     verdict_bits: VerdictBitmap,
-    attrib: Option<CheckAttribution>,
+    /// Boxed: attribution is opt-in, and the model checker clones
+    /// checkers once per explored op.
+    attrib: Option<Box<CheckAttribution>>,
 }
 
 impl CapChecker {
-    /// Builds a checker with the given hardware configuration.
+    /// Builds a checker over the fixed capability table.
     #[must_use]
     pub fn new(config: CheckerConfig) -> CapChecker {
+        CapChecker::with_store(config, Store::Table(CapabilityTable::new(config.entries)))
+    }
+
+    /// Builds a checker over the cache-backed store.
+    #[must_use]
+    pub fn cached(config: CachedCheckerConfig) -> CapChecker {
+        CapChecker::with_store(
+            config.base,
+            Store::Cache(CapCache::new(config.cache_entries, config.miss_penalty)),
+        )
+    }
+
+    fn with_store(config: CheckerConfig, store: Store) -> CapChecker {
         CapChecker {
-            table: CapabilityTable::new(config.entries),
             config,
+            store,
             staging: Staging::default(),
             exception_flag: false,
             stats: CheckerStats::default(),
@@ -149,22 +161,50 @@ impl CapChecker {
         }
     }
 
-    /// Starts per-master / per-`(task, object)` check attribution.
+    /// A new, empty checker with this one's store kind and geometry, in
+    /// provenance mode `mode` — the target of every rebuild (mode switch,
+    /// or a same-mode rebuild that drops statistics and verdict maps).
+    #[must_use]
+    pub fn fresh(&self, mode: CheckerMode) -> CapChecker {
+        let config = CheckerConfig {
+            mode,
+            ..self.config
+        };
+        match &self.store {
+            Store::Table(_) => CapChecker::new(config),
+            Store::Cache(cache) => CapChecker::cached(CachedCheckerConfig {
+                cache_entries: cache.capacity,
+                miss_penalty: cache.miss_penalty,
+                base: config,
+            }),
+        }
+    }
+
+    /// `true` when capabilities live in the cache-backed store.
+    #[must_use]
+    pub fn is_cached(&self) -> bool {
+        matches!(self.store, Store::Cache(_))
+    }
+
+    /// Starts per-master / per-`(task, object)` check attribution,
+    /// including hit/miss/stall accounting per pair on the cached store.
     /// Off by default: the data path then pays one `None` test per check.
     pub fn enable_attribution(&mut self) {
-        self.attrib = Some(CheckAttribution::new());
+        self.attrib = Some(Box::default());
     }
 
     /// The attribution collected so far, if enabled.
     #[must_use]
     pub fn attribution(&self) -> Option<&CheckAttribution> {
-        self.attrib.as_ref()
+        self.attrib.as_deref()
     }
 
     /// Installs a static verdict map: per-beat checks are skipped for
     /// `(task, object)` pairs the analyzer proved safe, each skip
     /// counted in [`CheckerStats::elided`]. Unsafe and dynamic pairs
-    /// are judged exactly as before.
+    /// are judged exactly as before. Elided accesses never touch the
+    /// store, so a cache's LRU state is reserved for the traffic that
+    /// still needs judging.
     ///
     /// The map is compiled to a [`VerdictBitmap`] here, once, so the
     /// beat path tests a bit word instead of walking the map.
@@ -174,9 +214,9 @@ impl CapChecker {
     }
 
     /// Removes the verdict map (and its compiled bitmap); every beat is
-    /// checked again. This is the invalidation hook the recovery and
-    /// degradation paths use — dropping the map without dropping the
-    /// bitmap would keep eliding from a stale proof.
+    /// checked again — the in-place equivalent of the rebuild that mode
+    /// switches and degradation perform. Dropping the map without
+    /// dropping the bitmap would keep eliding from a stale proof.
     pub fn clear_static_verdicts(&mut self) {
         self.static_verdicts = None;
         self.verdict_bits = VerdictBitmap::new();
@@ -186,41 +226,6 @@ impl CapChecker {
     #[must_use]
     pub fn static_verdicts(&self) -> Option<&StaticVerdictMap> {
         self.static_verdicts.as_ref()
-    }
-
-    /// Captures the checker's architectural state for later
-    /// [`restore`](CapChecker::restore) — the fork half of the model
-    /// checker's fork-and-explore loop. See [`CheckerSnapshot`] for what
-    /// is (and is not) captured.
-    #[must_use]
-    pub fn snapshot(&self) -> CheckerSnapshot {
-        CheckerSnapshot {
-            entries: self
-                .table
-                .iter()
-                .map(|e| (e.task, e.object, e.capability, e.exception))
-                .collect(),
-            exception_flag: self.exception_flag,
-        }
-    }
-
-    /// Restores architectural state captured by
-    /// [`snapshot`](CapChecker::snapshot): the table is rebuilt entry for
-    /// entry (exception bits included) and the global flag is reloaded.
-    /// Counters restart from zero and the MMIO staging area is cleared;
-    /// verdicts from the restored state are bit-for-bit those the
-    /// snapshotted checker would have produced.
-    pub fn restore(&mut self, snap: &CheckerSnapshot) {
-        self.table = CapabilityTable::new(self.config.entries);
-        for &(task, object, cap, exception) in &snap.entries {
-            self.table.install(task, object, cap);
-            if exception {
-                self.table.mark_exception(task, object);
-            }
-        }
-        self.exception_flag = snap.exception_flag;
-        self.staging = Staging::default();
-        self.stats = CheckerStats::default();
     }
 
     /// `true` when the compiled [`VerdictBitmap`] equals
@@ -235,7 +240,7 @@ impl CapChecker {
         }
     }
 
-    /// The hardware configuration.
+    /// The provenance and addressing configuration.
     #[must_use]
     pub fn config(&self) -> &CheckerConfig {
         &self.config
@@ -258,22 +263,98 @@ impl CapChecker {
         self.exception_flag = false;
     }
 
-    /// Data-path counters.
+    /// Data-path counters, shared by both stores.
     #[must_use]
     pub fn stats(&self) -> CheckerStats {
         self.stats
     }
 
-    /// Read access to the capability table (audits, Figure 12 counting).
+    /// Cache counters (all zero hits and misses on the table store).
     #[must_use]
-    pub fn table(&self) -> &CapabilityTable {
-        &self.table
+    pub fn cache_stats(&self) -> CacheStats {
+        let cache = match &self.store {
+            Store::Cache(cache) => cache.stats,
+            Store::Table(_) => CacheStats::default(),
+        };
+        CacheStats {
+            denied: self.stats.denied,
+            elided: self.stats.elided,
+            ..cache
+        }
     }
 
-    /// Entries of `task` whose exception bit is set — the software trace
-    /// of which pointer misbehaved.
-    pub fn exception_entries(&self, task: TaskId) -> Vec<TableEntry> {
-        self.table.exceptions_for(task).copied().collect()
+    /// Exports the store's counters: [`CheckerStats`] under `checker.`
+    /// for the table, [`CacheStats`] under `cache.` for the cache.
+    pub fn export_metrics(&self, registry: &mut Registry) {
+        match &self.store {
+            Store::Table(_) => registry.absorb(&self.stats, "checker."),
+            Store::Cache(_) => registry.absorb(&self.cache_stats(), "cache."),
+        }
+    }
+
+    /// Cache lines whose checksum failed on a hit (0 on the table).
+    #[must_use]
+    pub fn corruption_detected(&self) -> u64 {
+        match &self.store {
+            Store::Cache(cache) => cache.stats.corruption_detected,
+            Store::Table(_) => 0,
+        }
+    }
+
+    /// Average added check latency given the observed miss ratio — what
+    /// the ablation trades against the fixed table's area.
+    #[must_use]
+    pub fn effective_latency(&self) -> f64 {
+        let penalty = match &self.store {
+            Store::Cache(cache) => cache.miss_penalty,
+            Store::Table(_) => 0,
+        };
+        self.config.pipeline_latency as f64 + self.cache_stats().miss_ratio() * penalty as f64
+    }
+
+    /// Read access to the fixed capability table (audits, Figure 12
+    /// counting); `None` on the cached store.
+    #[must_use]
+    pub fn table(&self) -> Option<&CapabilityTable> {
+        match &self.store {
+            Store::Table(table) => Some(table),
+            Store::Cache(_) => None,
+        }
+    }
+
+    /// Every stored capability as `(task, object, capability)`, sorted by
+    /// `(task, object)` — the order a rebuild re-grants them in.
+    #[must_use]
+    pub fn entries(&self) -> Vec<(TaskId, ObjectId, Capability)> {
+        self.store.entries()
+    }
+
+    /// Objects of `task` whose accesses were denied — the software trace
+    /// of which pointer misbehaved. The table reports the entries whose
+    /// exception bit is set (slot order; a denial with no entry leaves
+    /// no trace); the cache reports every pair a denial resolved, sorted
+    /// and deduplicated.
+    #[must_use]
+    pub fn offending_objects(&self, task: TaskId) -> Vec<ObjectId> {
+        self.store.offending_objects(task)
+    }
+
+    /// Fault-injection hook (cached store): flips `flip` bits in the
+    /// image of the cache line at `slot` (LRU order, 0 = coldest) without
+    /// updating its checksum. Returns `false` when no such line exists.
+    pub fn corrupt_cache_slot(&mut self, slot: usize, flip: u128) -> bool {
+        match &mut self.store {
+            Store::Cache(cache) => cache.corrupt_slot(slot, flip),
+            Store::Table(_) => false,
+        }
+    }
+
+    /// Fault-injection hook (cached store): arms a bit flip that lands on
+    /// the next line inserted into the cache.
+    pub fn corrupt_next_insert(&mut self, flip: u128) {
+        if let Store::Cache(cache) = &mut self.store {
+            cache.corrupt_next_insert(flip);
+        }
     }
 
     /// The physical address a granted request should use (strips the
@@ -286,6 +367,42 @@ impl CapChecker {
         }
     }
 
+    /// Driver cycles one capability import costs on top of its MMIO
+    /// commit write: the register-map staging sequence on the table, and
+    /// nothing on the cache, whose grants go straight to the backing
+    /// table.
+    pub(crate) fn install_cycles(&self) -> Cycles {
+        match self.store {
+            Store::Table(_) => self.config.install_cycles(),
+            Store::Cache(_) => 0,
+        }
+    }
+
+    /// The driver's import path: the table stages the capability through
+    /// the MMIO register map (Figure 6 ③); the cache grants directly.
+    pub(crate) fn install(
+        &mut self,
+        task: TaskId,
+        object: ObjectId,
+        cap: &Capability,
+    ) -> Result<(), GrantError> {
+        if self.is_cached() {
+            return self.grant(task, object, cap);
+        }
+        let bits = cap.compress().bits();
+        self.mmio_write(regs::CAP_LO, bits as u64);
+        self.mmio_write(regs::CAP_HI, (bits >> 64) as u64);
+        self.mmio_write(regs::TAG, u64::from(cap.is_valid()));
+        self.mmio_write(regs::TASK, u64::from(task.0));
+        self.mmio_write(regs::OBJECT, u64::from(object.0));
+        self.mmio_write(regs::COMMIT, 1);
+        match self.mmio_read(regs::COMMIT) {
+            regs::STATUS_OK => Ok(()),
+            regs::STATUS_FULL => Err(GrantError::TableFull),
+            _ => Err(GrantError::InvalidCapability),
+        }
+    }
+
     fn required_perms(kind: AccessKind) -> Perms {
         match kind {
             AccessKind::Read => Perms::LOAD,
@@ -293,16 +410,18 @@ impl CapChecker {
         }
     }
 
+    /// Latches a denial: the store records the offending pair, the
+    /// global flag is set, and the `denied` counter moves.
     fn deny(&mut self, access: &Access, object: Option<ObjectId>, reason: DenyReason) -> Denial {
         if let Some(obj) = object {
-            self.table.mark_exception(access.task, obj);
+            self.store.note_exception(access.task, obj);
         }
-        crate::exception::latch_denial(
-            &mut self.exception_flag,
-            &mut self.stats.denied,
-            access,
+        self.exception_flag = true;
+        self.stats.denied += 1;
+        Denial {
+            access: *access,
             reason,
-        )
+        }
     }
 
     fn resolve_object(&self, access: &Access) -> Result<(ObjectId, u64), DenyReason> {
@@ -319,7 +438,8 @@ impl CapChecker {
         }
     }
 
-    /// The full check pipeline, returning the granted request's physical
+    /// The check pipeline — the one implementation of the check order,
+    /// for both stores — returning the granted request's physical
     /// address. Both [`IoProtection::check`] and [`IoProtection::vet`]
     /// are thin wrappers over this, so the one-call and two-call paths
     /// cannot diverge in verdicts, counters, or exception latching.
@@ -351,14 +471,22 @@ impl CapChecker {
             }
             return Ok(phys);
         }
-        let Some(entry) = self.table.lookup(access.task, object) else {
-            if let Some(a) = &mut self.attrib {
-                a.denied(access.master, Some((access.task, object)));
+        let cap = match self.store.fetch((access.task, object)) {
+            Ok((cap, lookup)) => {
+                if let (Some(a), Some((hit, stall))) = (&mut self.attrib, lookup) {
+                    a.lookup(access.master, access.task, object, hit, stall);
+                }
+                cap
             }
-            return Err(self.deny(access, Some(object), DenyReason::NoEntry));
+            Err(reason) => {
+                if let Some(a) = &mut self.attrib {
+                    a.denied(access.master, Some((access.task, object)));
+                }
+                return Err(self.deny(access, Some(object), reason));
+            }
         };
         let needed = CapChecker::required_perms(access.kind);
-        match entry.capability.check_access(phys, access.len, needed) {
+        match cap.check_access(phys, access.len, needed) {
             Ok(()) => {
                 self.stats.granted += 1;
                 if let Some(a) = &mut self.attrib {
@@ -378,9 +506,10 @@ impl CapChecker {
 
 impl IoProtection for CapChecker {
     fn name(&self) -> &'static str {
-        match self.config.mode {
-            CheckerMode::Fine => "CapChecker-Fine",
-            CheckerMode::Coarse => "CapChecker-Coarse",
+        match (&self.store, self.config.mode) {
+            (Store::Cache(_), _) => "CapChecker-Cached",
+            (Store::Table(_), CheckerMode::Fine) => "CapChecker-Fine",
+            (Store::Table(_), CheckerMode::Coarse) => "CapChecker-Coarse",
         }
     }
 
@@ -407,19 +536,16 @@ impl IoProtection for CapChecker {
             return Err(GrantError::InvalidCapability);
         }
         self.stats.installs += 1;
-        match self.table.install(task, object, *cap) {
-            Some(_) => Ok(()),
-            None => {
-                self.stats.install_stalls += 1;
-                Err(GrantError::TableFull)
-            }
+        if self.store.install(task, object, *cap) {
+            Ok(())
+        } else {
+            self.stats.install_stalls += 1;
+            Err(GrantError::TableFull)
         }
     }
 
     fn revoke_task(&mut self, task: TaskId) {
-        let before = self.table.occupied();
-        self.table.evict_task(task);
-        self.stats.evictions += (before - self.table.occupied()) as u64;
+        self.stats.evictions += self.store.evict_task(task) as u64;
     }
 
     fn check(&mut self, access: &Access) -> Result<(), Denial> {
@@ -427,7 +553,7 @@ impl IoProtection for CapChecker {
     }
 
     fn entries_in_use(&self) -> usize {
-        self.table.occupied()
+        self.store.entries_in_use()
     }
 
     fn translate(&self, addr: u64) -> u64 {
@@ -445,7 +571,7 @@ impl MmioDevice for CapChecker {
         match offset {
             regs::COMMIT => self.staging.status,
             regs::EXCEPTION => u64::from(self.exception_flag),
-            regs::OCCUPANCY => self.table.occupied() as u64,
+            regs::OCCUPANCY => self.store.entries_in_use() as u64,
             regs::GRANTED => self.stats.granted,
             regs::DENIED => self.stats.denied,
             regs::INSTALLS => self.stats.installs,
@@ -482,10 +608,10 @@ impl fmt::Display for CapChecker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "CapChecker[{}] {}/{} entries, exc={}",
+            "{}[{}] {} entries in use, exc={}",
+            self.name(),
             self.config.mode.label(),
-            self.table.occupied(),
-            self.table.capacity(),
+            self.store.entries_in_use(),
             self.exception_flag
         )
     }
@@ -494,6 +620,7 @@ impl fmt::Display for CapChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elide::StaticVerdict;
     use cheri::CapFault;
     use hetsim::MasterId;
 
@@ -503,6 +630,14 @@ mod tests {
             .unwrap()
             .and_perms(Perms::RW)
             .unwrap()
+    }
+
+    fn read(task: u32, addr: u64, obj: u16) -> Access {
+        Access::read(MasterId(1), TaskId(task), addr, 4).with_object(ObjectId(obj))
+    }
+
+    fn cached() -> CapChecker {
+        CapChecker::cached(CachedCheckerConfig::default())
     }
 
     fn fine_checker_with_two_buffers() -> CapChecker {
@@ -527,9 +662,7 @@ mod tests {
         ));
         assert!(c.exception_flag());
         // And the offending pointer is traceable.
-        let excs = c.exception_entries(TaskId(1));
-        assert_eq!(excs.len(), 1);
-        assert_eq!(excs[0].object, ObjectId(0));
+        assert_eq!(c.offending_objects(TaskId(1)), [ObjectId(0)]);
     }
 
     #[test]
@@ -545,16 +678,23 @@ mod tests {
     #[test]
     fn coarse_mode_recovers_object_from_address() {
         let cfg = CheckerConfig::coarse();
-        let mut c = CapChecker::new(cfg);
-        c.grant(TaskId(1), ObjectId(2), &rw_cap(0x1000, 0x100))
-            .unwrap();
-        let tagged = cfg.coarse_tag_address(2, 0x1040);
-        let a = Access::read(MasterId(1), TaskId(1), tagged, 4);
-        assert!(c.check(&a).is_ok());
-        assert_eq!(c.physical_address(tagged), 0x1040);
-        // Out of bounds within the right object still faults.
-        let oob = Access::read(MasterId(1), TaskId(1), cfg.coarse_tag_address(2, 0x1100), 4);
-        assert!(c.check(&oob).is_err());
+        for mut c in [
+            CapChecker::new(cfg),
+            CapChecker::cached(CachedCheckerConfig {
+                base: cfg,
+                ..CachedCheckerConfig::default()
+            }),
+        ] {
+            c.grant(TaskId(1), ObjectId(2), &rw_cap(0x1000, 0x100))
+                .unwrap();
+            let tagged = cfg.coarse_tag_address(2, 0x1040);
+            let a = Access::read(MasterId(1), TaskId(1), tagged, 4);
+            assert!(c.check(&a).is_ok());
+            assert_eq!(c.translate(tagged), 0x1040);
+            // Out of bounds within the right object still faults.
+            let oob = Access::read(MasterId(1), TaskId(1), cfg.coarse_tag_address(2, 0x1100), 4);
+            assert!(c.check(&oob).is_err());
+        }
     }
 
     #[test]
@@ -653,7 +793,6 @@ mod tests {
 
     #[test]
     fn static_verdicts_elide_safe_pairs_only() {
-        use crate::elide::{StaticVerdict, StaticVerdictMap};
         let mut c = fine_checker_with_two_buffers();
         let mut map = StaticVerdictMap::new();
         map.set(TaskId(1), ObjectId(0), StaticVerdict::Safe);
@@ -697,5 +836,203 @@ mod tests {
             Err(GrantError::TableFull)
         );
         assert_eq!(c.stats().install_stalls, 1);
+    }
+
+    #[test]
+    fn static_verdicts_bypass_cache_and_leave_lru_untouched() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        c.grant(TaskId(1), ObjectId(1), &rw_cap(0x2000, 64))
+            .unwrap();
+        let mut map = StaticVerdictMap::new();
+        map.set(TaskId(1), ObjectId(0), StaticVerdict::Safe);
+        c.set_static_verdicts(map);
+
+        // Safe pair: no walk, no cache traffic, one elision.
+        assert!(c.check(&read(1, 0x1000, 0)).is_ok());
+        let s = c.cache_stats();
+        assert_eq!((s.elided, s.hits, s.misses), (1, 0, 0));
+
+        // Dynamic pair still walks and caches as before.
+        assert!(c.check(&read(1, 0x2000, 1)).is_ok());
+        assert!(c.check(&read(1, 0x2000, 1)).is_ok());
+        let s = c.cache_stats();
+        assert_eq!((s.elided, s.hits, s.misses), (1, 1, 1));
+    }
+
+    #[test]
+    fn elision_is_immune_to_cache_corruption() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        // Warm the line, then corrupt it.
+        assert!(c.check(&read(1, 0x1000, 0)).is_ok());
+        assert!(c.corrupt_cache_slot(0, 1));
+        // With a safe verdict the corrupt line is never consulted: the
+        // check it would have served was redundant by proof.
+        let mut map = StaticVerdictMap::new();
+        map.set(TaskId(1), ObjectId(0), StaticVerdict::Safe);
+        c.set_static_verdicts(map);
+        assert!(c.check(&read(1, 0x1000, 0)).is_ok());
+        assert_eq!(c.corruption_detected(), 0);
+        // Dropping the map re-exposes the corruption as a fail-stop.
+        c.clear_static_verdicts();
+        let denial = c.check(&read(1, 0x1000, 0)).unwrap_err();
+        assert_eq!(denial.reason, DenyReason::InvalidTag);
+        assert_eq!(c.corruption_detected(), 1);
+    }
+
+    #[test]
+    fn no_capacity_stall_even_past_256_entries() {
+        let mut c = cached();
+        for i in 0..1000u32 {
+            c.grant(TaskId(i), ObjectId(0), &rw_cap(u64::from(i) * 64, 64))
+                .unwrap();
+        }
+        assert_eq!(c.entries().len(), 1000);
+        assert_eq!(c.entries_in_use(), 16, "only the cache is hardware");
+        // And every one of them is checkable.
+        assert!(c.check(&read(999, 999 * 64, 0)).is_ok());
+        assert!(c.check(&read(0, 0, 0)).is_ok());
+    }
+
+    #[test]
+    fn lru_keeps_the_hot_set() {
+        let mut c = CapChecker::cached(CachedCheckerConfig {
+            cache_entries: 2,
+            ..CachedCheckerConfig::default()
+        });
+        for i in 0..3u32 {
+            c.grant(TaskId(i), ObjectId(0), &rw_cap(u64::from(i) * 64, 64))
+                .unwrap();
+        }
+        c.check(&read(0, 0, 0)).unwrap(); // miss
+        c.check(&read(0, 4, 0)).unwrap(); // hit
+        c.check(&read(1, 64, 0)).unwrap(); // miss
+        c.check(&read(2, 128, 0)).unwrap(); // miss (evicts task 0)
+        c.check(&read(0, 8, 0)).unwrap(); // miss again
+        let s = c.cache_stats();
+        assert_eq!((s.hits, s.misses), (1, 4));
+        assert!(s.miss_ratio() > 0.5);
+    }
+
+    #[test]
+    fn security_is_identical_to_the_fixed_table() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        // Bounds violation.
+        let denial = c.check(&read(1, 0x2000, 0)).unwrap_err();
+        assert!(matches!(denial.reason, DenyReason::Capability(_)));
+        assert!(c.exception_flag());
+        assert_eq!(c.offending_objects(TaskId(1)), [ObjectId(0)]);
+        // Wrong task.
+        assert_eq!(
+            c.check(&read(2, 0x1000, 0)).unwrap_err().reason,
+            DenyReason::NoEntry
+        );
+        // Sealed capabilities rejected at import.
+        let sealed = Capability::root().seal(9).unwrap();
+        assert_eq!(
+            c.grant(TaskId(1), ObjectId(1), &sealed),
+            Err(GrantError::InvalidCapability)
+        );
+    }
+
+    #[test]
+    fn revoke_shoots_down_cached_entries() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        c.check(&read(1, 0x1000, 0)).unwrap(); // cache it
+        c.revoke_task(TaskId(1));
+        // The cached copy must not outlive the grant.
+        assert_eq!(
+            c.check(&read(1, 0x1000, 0)).unwrap_err().reason,
+            DenyReason::NoEntry
+        );
+        assert!(c.entries().is_empty());
+    }
+
+    #[test]
+    fn effective_latency_tracks_miss_ratio() {
+        let mut c = CapChecker::cached(CachedCheckerConfig {
+            cache_entries: 1,
+            miss_penalty: 40,
+            base: CheckerConfig::fine(),
+        });
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0, 64)).unwrap();
+        c.grant(TaskId(1), ObjectId(1), &rw_cap(64, 64)).unwrap();
+        // Alternate: every access misses.
+        for _ in 0..8 {
+            c.check(&read(1, 0, 0)).unwrap();
+            c.check(&read(1, 64, 1)).unwrap();
+        }
+        assert!(c.effective_latency() > 40.0);
+    }
+
+    #[test]
+    fn corrupted_line_is_a_fail_stop_denial() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        c.check(&read(1, 0x1000, 0)).unwrap(); // warm the line
+        assert!(c.corrupt_cache_slot(0, 1 << 70));
+        let denial = c.check(&read(1, 0x1000, 0)).unwrap_err();
+        assert_eq!(denial.reason, DenyReason::InvalidTag);
+        assert_eq!(c.corruption_detected(), 1);
+        assert!(c.exception_flag());
+        // The corrupted line was dropped: the next check walks the table
+        // and succeeds again — security never depended on the cache.
+        assert!(c.check(&read(1, 0x1000, 0)).is_ok());
+        assert_eq!(c.cache_stats().denied, 1);
+    }
+
+    #[test]
+    fn poisoned_insert_is_caught_on_first_hit() {
+        let mut c = cached();
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        c.corrupt_next_insert(0xFF);
+        c.check(&read(1, 0x1000, 0)).unwrap(); // miss: inserts poisoned line
+        let denial = c.check(&read(1, 0x1000, 0)).unwrap_err();
+        assert_eq!(denial.reason, DenyReason::InvalidTag);
+        assert_eq!(c.corruption_detected(), 1);
+    }
+
+    #[test]
+    fn corrupt_hooks_are_noops_without_targets() {
+        let mut c = cached();
+        assert!(!c.corrupt_cache_slot(0, 1)); // empty cache
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        c.check(&read(1, 0x1000, 0)).unwrap();
+        assert!(!c.corrupt_cache_slot(5, 1)); // no such slot
+        assert!(!c.corrupt_cache_slot(0, 0)); // zero flip mask
+        assert!(c.check(&read(1, 0x1000, 0)).is_ok());
+        assert_eq!(c.corruption_detected(), 0);
+        // The table store has no cache to corrupt.
+        let mut t = fine_checker_with_two_buffers();
+        t.corrupt_next_insert(0xFF);
+        assert!(!t.corrupt_cache_slot(0, 1));
+        assert!(t.check(&read(1, 0x1000, 0)).is_ok());
+    }
+
+    #[test]
+    fn fresh_keeps_store_geometry_and_drops_state() {
+        let mut c = CapChecker::cached(CachedCheckerConfig {
+            cache_entries: 2,
+            ..CachedCheckerConfig::default()
+        });
+        c.grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        let f = c.fresh(CheckerMode::Coarse);
+        assert!(f.is_cached());
+        assert_eq!(f.mode(), CheckerMode::Coarse);
+        assert!(f.entries().is_empty());
+        let t = fine_checker_with_two_buffers().fresh(CheckerMode::Fine);
+        assert!(!t.is_cached());
+        assert_eq!(t.table().map(CapabilityTable::capacity), Some(256));
     }
 }

@@ -32,10 +32,9 @@ pub enum Provenance {
 /// The accelerator-side engine: kernel accesses become bus requests that
 /// the protection mechanism vets.
 ///
-/// Generic over the protection type so the driver can monomorphize the
-/// per-beat vet pipeline for each concrete checker (one virtual call per
-/// kernel op instead of two, with the verdict-bitmap probe inlined); the
-/// `dyn IoProtection` default keeps heterogeneous call sites working.
+/// Generic over the protection type so a caller holding a concrete
+/// checker can have the per-beat vet pipeline inlined; the driver runs it
+/// over the `dyn IoProtection` default, one virtual `vet` call per beat.
 pub struct ProtectedEngine<'a, P: IoProtection + ?Sized = dyn IoProtection> {
     mem: &'a mut TaggedMemory,
     protection: &'a mut P,

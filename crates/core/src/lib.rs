@@ -11,7 +11,10 @@
 //!
 //! * a 256-entry associative [capability table](CapabilityTable) keyed by
 //!   `(task, object)`, filled over an MMIO capability interconnect
-//!   ([`checker::regs`]) that only accepts *valid* capabilities;
+//!   ([`checker::regs`]) that only accepts *valid* capabilities — or,
+//!   as §5.2.3's microarchitectural option, a small LRU cache over a
+//!   memory-resident table ([`CapChecker::cached`]), behind the same
+//!   check pipeline;
 //! * a capability decoder (the 128-bit compressed format from the `cheri`
 //!   crate);
 //! * two provenance modes ([`CheckerMode`]): **Fine** — the accelerator's
@@ -53,14 +56,13 @@
 pub mod adapt;
 mod alloc;
 pub mod attrib;
-pub mod cached;
 pub mod checker;
 mod config;
 pub mod elide;
 mod engines;
-mod exception;
 pub mod recovery;
 pub mod revoke;
+mod store;
 mod system;
 mod table;
 
@@ -70,9 +72,8 @@ pub use adapt::{
 };
 pub use alloc::{AllocError, HeapAllocator};
 pub use attrib::{CheckAttribution, CheckCounters};
-pub use cached::{CacheStats, CachedCapChecker, CachedCheckerConfig, CachedCheckerSnapshot};
-pub use checker::{CapChecker, CheckerSnapshot, CheckerStats};
-pub use config::{CheckerConfig, CheckerMode};
+pub use checker::{CapChecker, CheckerStats};
+pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
 pub use engines::{CpuEngine, ProtectedEngine, Provenance};
 pub use recovery::{
@@ -80,6 +81,7 @@ pub use recovery::{
     RecoveryPolicy, Resolution, TaskRecord, WatchdogEngine,
 };
 pub use revoke::{sweep_revoked, sweep_revoked_many, sweep_revoked_naive, SweepReport};
+pub use store::CacheStats;
 pub use system::{
     BufferSpec, DriverError, HeteroSystem, ProtectionChoice, SystemConfig, SystemVariant,
     TaskOutcome, TaskReport, TaskRequest,

@@ -31,7 +31,7 @@
 //!              └─► forged tag found by post-run audit ► Denied (cleared)
 //! ```
 
-use crate::cached::CachedCheckerConfig;
+use crate::config::CachedCheckerConfig;
 use crate::system::{DriverError, HeteroSystem, ProtectionChoice, SystemConfig, TaskRequest};
 use hetsim::fault::{is_engine_level, persists_across_retries, FaultPlan, FaultSpec, FaultyEngine};
 use hetsim::{Cycles, Denial, DenyReason, Engine, ExecFault, TaskId};

@@ -18,9 +18,8 @@
 //!   exception was raised, release the FU, and report the exception.
 
 use crate::alloc::{AllocError, HeapAllocator};
-use crate::cached::{CachedCapChecker, CachedCheckerConfig};
 use crate::checker::CapChecker;
-use crate::config::{CheckerConfig, CheckerMode};
+use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{SegmentVerdicts, StaticVerdictMap};
 use crate::engines::{CpuEngine, ProtectedEngine, Provenance};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
@@ -52,7 +51,7 @@ pub enum ProtectionChoice {
     CapChecker(CheckerConfig),
     /// The cache-backed CapChecker variant (§5.2.3's microarchitectural
     /// option): a small LRU cache over a memory-resident table.
-    CachedCapChecker(crate::cached::CachedCheckerConfig),
+    CachedCapChecker(CachedCheckerConfig),
 }
 
 /// System-level configuration.
@@ -412,25 +411,51 @@ struct TaskState {
 }
 
 enum Protection {
-    Checker(CapChecker),
-    Cached(CachedCapChecker),
+    /// The CapChecker, over either capability store.
+    Cap(Box<CapChecker>),
     Baseline(Box<dyn IoProtection>),
 }
 
 impl Protection {
     fn as_dyn(&mut self) -> &mut dyn IoProtection {
         match self {
-            Protection::Checker(c) => c,
-            Protection::Cached(c) => c,
+            Protection::Cap(c) => c.as_mut(),
             Protection::Baseline(b) => b.as_mut(),
         }
     }
 
     fn as_dyn_ref(&self) -> &dyn IoProtection {
         match self {
-            Protection::Checker(c) => c,
-            Protection::Cached(c) => c,
+            Protection::Cap(c) => c.as_ref(),
             Protection::Baseline(b) => b.as_ref(),
+        }
+    }
+
+    fn cap(&self) -> Option<&CapChecker> {
+        match self {
+            Protection::Cap(c) => Some(c),
+            Protection::Baseline(_) => None,
+        }
+    }
+
+    fn cap_mut(&mut self) -> Option<&mut CapChecker> {
+        match self {
+            Protection::Cap(c) => Some(c),
+            Protection::Baseline(_) => None,
+        }
+    }
+
+    /// The driver's import of one device capability: the CapChecker's
+    /// own install path, or a plain grant on a baseline.
+    fn install(
+        &mut self,
+        task: TaskId,
+        object: ObjectId,
+        cap: &Capability,
+    ) -> Result<(), GrantError> {
+        match self {
+            Protection::Cap(c) => c.install(task, object, cap),
+            Protection::Baseline(b) => b.grant(task, object, cap),
         }
     }
 }
@@ -441,13 +466,13 @@ impl fmt::Debug for Protection {
     }
 }
 
-/// Runs one kernel through a [`ProtectedEngine`] monomorphized for the
-/// concrete protection type `P`, so the per-beat check+translate path is
-/// fully inlined into the engine's load/store bodies.
+/// Runs one kernel through a [`ProtectedEngine`] over the system's
+/// protection mechanism, returning the kernel's result, its first
+/// denial, and its trace.
 #[allow(clippy::too_many_arguments)]
-fn drive_kernel<P, F>(
+fn drive_kernel<F>(
     mem: &mut TaggedMemory,
-    protection: &mut P,
+    protection: &mut dyn IoProtection,
     layout: TaskLayout,
     master: MasterId,
     task: TaskId,
@@ -456,7 +481,6 @@ fn drive_kernel<P, F>(
     kernel: F,
 ) -> (Result<(), ExecFault>, Option<Denial>, Trace)
 where
-    P: IoProtection + ?Sized,
     F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
 {
     let mut eng = ProtectedEngine::new(mem, protection, layout, master, task, provenance);
@@ -534,8 +558,10 @@ impl HeteroSystem {
             ProtectionChoice::Iopmp(c) => Protection::Baseline(Box::new(Iopmp::new(c))),
             ProtectionChoice::Iommu(c) => Protection::Baseline(Box::new(Iommu::new(c))),
             ProtectionChoice::Snpu => Protection::Baseline(Box::new(Snpu::new())),
-            ProtectionChoice::CapChecker(c) => Protection::Checker(CapChecker::new(c)),
-            ProtectionChoice::CachedCapChecker(c) => Protection::Cached(CachedCapChecker::new(c)),
+            ProtectionChoice::CapChecker(c) => Protection::Cap(Box::new(CapChecker::new(c))),
+            ProtectionChoice::CachedCapChecker(c) => {
+                Protection::Cap(Box::new(CapChecker::cached(c)))
+            }
         };
         HeteroSystem {
             mem: TaggedMemory::new(config.mem_size),
@@ -604,31 +630,23 @@ impl HeteroSystem {
         &mut self.mem
     }
 
-    /// The CapChecker, if this system has one.
+    /// The CapChecker, if this system runs one over the fixed table.
     #[must_use]
     pub fn checker(&self) -> Option<&CapChecker> {
-        match &self.protection {
-            Protection::Checker(c) => Some(c),
-            Protection::Cached(_) | Protection::Baseline(_) => None,
-        }
+        self.protection.cap().filter(|c| !c.is_cached())
     }
 
-    /// The cache-backed CapChecker, if this system runs one.
+    /// The CapChecker, if this system runs one over the cache-backed
+    /// store.
     #[must_use]
-    pub fn cached_checker(&self) -> Option<&CachedCapChecker> {
-        match &self.protection {
-            Protection::Cached(c) => Some(c),
-            _ => None,
-        }
+    pub fn cached_checker(&self) -> Option<&CapChecker> {
+        self.protection.cap().filter(|c| c.is_cached())
     }
 
     /// Mutable access to the cache-backed CapChecker (the fault harness's
     /// corruption hooks live on it).
-    pub fn cached_checker_mut(&mut self) -> Option<&mut CachedCapChecker> {
-        match &mut self.protection {
-            Protection::Cached(c) => Some(c),
-            _ => None,
-        }
+    pub fn cached_checker_mut(&mut self) -> Option<&mut CapChecker> {
+        self.protection.cap_mut().filter(|c| c.is_cached())
     }
 
     /// Installs the static analyzer's verdict map into the active
@@ -641,21 +659,12 @@ impl HeteroSystem {
     /// holds for the replacement checker and re-install explicitly.
     pub fn install_static_verdicts(&mut self, map: StaticVerdictMap) -> bool {
         let safe_pairs = map.safe_pairs();
-        let installed = match &mut self.protection {
-            Protection::Checker(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Cached(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Baseline(_) => false,
+        let Some(c) = self.protection.cap_mut() else {
+            return false;
         };
-        if installed {
-            self.record(EventKind::StaticVerdictsInstalled { safe_pairs });
-        }
-        installed
+        c.set_static_verdicts(map);
+        self.record(EventKind::StaticVerdictsInstalled { safe_pairs });
+        true
     }
 
     /// Installs `map` into the active checker *and* retains it in the
@@ -679,20 +688,7 @@ impl HeteroSystem {
     pub fn reinstall_segment_verdicts(&mut self) -> Option<u64> {
         let map = self.segment_verdicts.retained()?.clone();
         let safe_pairs = map.safe_pairs();
-        let installed = match &mut self.protection {
-            Protection::Checker(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Cached(c) => {
-                c.set_static_verdicts(map);
-                true
-            }
-            Protection::Baseline(_) => false,
-        };
-        if !installed {
-            return None;
-        }
+        self.protection.cap_mut()?.set_static_verdicts(map);
         self.segment_verdicts.record_reinstall();
         self.record(EventKind::SegmentVerdictsReinstalled { safe_pairs });
         Some(safe_pairs)
@@ -714,48 +710,29 @@ impl HeteroSystem {
     /// The static verdict map installed into the active checker, if any.
     #[must_use]
     pub fn static_verdicts(&self) -> Option<&StaticVerdictMap> {
-        match &self.protection {
-            Protection::Checker(c) => c.static_verdicts(),
-            Protection::Cached(c) => c.static_verdicts(),
-            Protection::Baseline(_) => None,
-        }
+        self.protection.cap()?.static_verdicts()
     }
 
     /// Starts per-master / per-`(task, object)` check attribution on the
     /// active checker (plain or cached). Returns `false` on baseline
     /// systems, which have no attribution to collect.
     pub fn enable_check_attribution(&mut self) -> bool {
-        match &mut self.protection {
-            Protection::Checker(c) => {
-                c.enable_attribution();
-                true
-            }
-            Protection::Cached(c) => {
-                c.enable_attribution();
-                true
-            }
-            Protection::Baseline(_) => false,
-        }
+        self.protection
+            .cap_mut()
+            .map(CapChecker::enable_attribution)
+            .is_some()
     }
 
     /// The check attribution collected so far, if enabled.
     #[must_use]
     pub fn check_attribution(&self) -> Option<&crate::attrib::CheckAttribution> {
-        match &self.protection {
-            Protection::Checker(c) => c.attribution(),
-            Protection::Cached(c) => c.attribution(),
-            Protection::Baseline(_) => None,
-        }
+        self.protection.cap()?.attribution()
     }
 
     /// Checks elided so far by the active checker (0 on baselines).
     #[must_use]
     pub fn checks_elided(&self) -> u64 {
-        match &self.protection {
-            Protection::Checker(c) => c.stats().elided,
-            Protection::Cached(c) => c.cache_stats().elided,
-            Protection::Baseline(_) => 0,
-        }
+        self.protection.cap().map_or(0, |c| c.stats().elided)
     }
 
     /// The protection mechanism on the accelerator path.
@@ -886,20 +863,11 @@ impl HeteroSystem {
         // capability interconnect's register map (Figure 6 ③).
         let mut setup_cycles = 0;
         if fu.is_some() {
-            let install_cost = match &self.protection {
-                Protection::Checker(c) => c.config().install_cycles(),
-                Protection::Cached(_) | Protection::Baseline(_) => 0,
-            };
+            let install_cost = self.install_cycles();
             let mut tracer = self.tracer.clone();
             let mut clock = self.driver_clock;
             for (i, cap) in install_caps.iter().enumerate() {
-                let result = match &mut self.protection {
-                    Protection::Checker(checker) => {
-                        install_over_mmio(checker, id, ObjectId(i as u16), cap)
-                    }
-                    Protection::Cached(c) => c.grant(id, ObjectId(i as u16), cap),
-                    Protection::Baseline(b) => b.grant(id, ObjectId(i as u16), cap),
-                };
+                let result = self.protection.install(id, ObjectId(i as u16), cap);
                 clock = clock.saturating_add(install_cost + self.config.mmio_write_cycles);
                 if let Some(t) = tracer.as_mut() {
                     t.record(
@@ -926,9 +894,7 @@ impl HeteroSystem {
                     return Err(DriverError::ProtectionTableFull(e));
                 }
             }
-            if let Protection::Checker(c) = &self.protection {
-                setup_cycles += caps.len() as Cycles * c.config().install_cycles();
-            }
+            setup_cycles += caps.len() as Cycles * install_cost;
             // Control registers: one pointer per buffer plus start/config.
             setup_cycles += (caps.len() as Cycles + 2) * self.config.mmio_write_cycles;
         }
@@ -967,13 +933,16 @@ impl HeteroSystem {
     }
 
     fn coarse_config(&self) -> Option<CheckerConfig> {
-        match &self.protection {
-            Protection::Checker(c) if c.mode() == CheckerMode::Coarse => Some(*c.config()),
-            Protection::Cached(c) if c.config().base.mode == CheckerMode::Coarse => {
-                Some(c.config().base)
-            }
-            _ => None,
-        }
+        self.protection
+            .cap()
+            .filter(|c| c.mode() == CheckerMode::Coarse)
+            .map(|c| *c.config())
+    }
+
+    /// Driver cycles one capability import costs beyond its MMIO commit
+    /// write (0 unless a table-backed CapChecker stages it).
+    fn install_cycles(&self) -> Cycles {
+        self.protection.cap().map_or(0, CapChecker::install_cycles)
     }
 
     /// The accelerator-visible layout of a task's buffers (object-tagged
@@ -1085,12 +1054,10 @@ impl HeteroSystem {
             .ok_or(DriverError::UnknownTask(task))?;
         let fu = st.fu.ok_or(DriverError::NotAnAcceleratorTask(task))?;
         let layout = self.accel_layout(task)?;
-        let provenance = match &self.protection {
-            Protection::Checker(c) if c.mode() == CheckerMode::Coarse => Provenance::Opaque,
-            Protection::Cached(c) if c.config().base.mode == CheckerMode::Coarse => {
-                Provenance::Opaque
-            }
-            _ => Provenance::PerObjectPorts,
+        let provenance = if self.coarse_config().is_some() {
+            Provenance::Opaque
+        } else {
+            Provenance::PerObjectPorts
         };
         let master = MasterId(fu as u16 + 1);
         self.record(EventKind::DriverPhase {
@@ -1098,10 +1065,6 @@ impl HeteroSystem {
             phase: Phase::Execute,
         });
         let tracer = self.tracer.clone();
-        // Dispatch once per kernel on the concrete protection type so the
-        // per-beat vet pipeline (verdict-bitmap probe included) inlines
-        // into the engine's load/store bodies instead of going through a
-        // second virtual call on every DMA beat.
         let (result, denial, trace) = drive_kernel(
             &mut self.mem,
             self.protection.as_dyn(),
@@ -1216,21 +1179,10 @@ impl HeteroSystem {
         });
 
         // Trace the offending pointers before evicting the entries.
-        let offending_objects = match &self.protection {
-            Protection::Checker(c) => c.exception_entries(task).iter().map(|e| e.object).collect(),
-            Protection::Cached(c) => {
-                let mut objs: Vec<ObjectId> = c
-                    .exceptions()
-                    .iter()
-                    .filter(|(t, _)| *t == task)
-                    .map(|&(_, o)| o)
-                    .collect();
-                objs.sort_unstable_by_key(|o| o.0);
-                objs.dedup();
-                objs
-            }
-            Protection::Baseline(_) => Vec::new(),
-        };
+        let offending_objects = self
+            .protection
+            .cap()
+            .map_or_else(Vec::new, |c| c.offending_objects(task));
 
         // Evict the task's capabilities so new tasks can be allocated.
         let entries_before = self.protection.as_dyn_ref().entries_in_use();
@@ -1363,21 +1315,14 @@ impl HeteroSystem {
             },
             None => cap,
         };
+        let install = self.install_cycles();
         if self.tasks[&task].fu.is_some() {
-            let result = match &mut self.protection {
-                Protection::Checker(checker) => {
-                    install_over_mmio(checker, task, ObjectId(obj as u16), &device_cap)
-                }
-                Protection::Cached(c) => c.grant(task, ObjectId(obj as u16), &device_cap),
-                Protection::Baseline(b) => b.grant(task, ObjectId(obj as u16), &device_cap),
-            };
-            let install_cost = match &self.protection {
-                Protection::Checker(c) => c.config().install_cycles(),
-                Protection::Cached(_) | Protection::Baseline(_) => 0,
-            };
+            let result = self
+                .protection
+                .install(task, ObjectId(obj as u16), &device_cap);
             self.driver_clock = self
                 .driver_clock
-                .saturating_add(install_cost + self.config.mmio_write_cycles);
+                .saturating_add(install + self.config.mmio_write_cycles);
             self.record(EventKind::MmioCapInstall {
                 task: task.0,
                 object: obj as u16,
@@ -1395,10 +1340,6 @@ impl HeteroSystem {
             }
         }
         let coarse = self.coarse_config();
-        let install = match &self.protection {
-            Protection::Checker(c) => c.config().install_cycles(),
-            Protection::Cached(_) | Protection::Baseline(_) => 0,
-        };
         let st = self.tasks.get_mut(&task).expect("existence checked above");
         st.buffers.push((base, spec.size));
         st.padded.push((base, reserve));
@@ -1443,10 +1384,8 @@ impl HeteroSystem {
     /// data-path stats (under `checker.`, when a CapChecker guards the
     /// path), protection-entry occupancy, and the driver clock.
     pub fn export_metrics(&self, registry: &mut Registry) {
-        match &self.protection {
-            Protection::Checker(c) => registry.absorb(&c.stats(), "checker."),
-            Protection::Cached(c) => registry.absorb(&c.cache_stats(), "cache."),
-            Protection::Baseline(_) => {}
+        if let Some(c) = self.protection.cap() {
+            c.export_metrics(registry);
         }
         registry.gauge_set(
             "protection.entries_in_use",
@@ -1470,10 +1409,8 @@ impl HeteroSystem {
     /// Clears the protection mechanism's global exception flag (the
     /// driver's pre-retry reset; on real hardware an MMIO register write).
     pub fn clear_protection_exception(&mut self) {
-        match &mut self.protection {
-            Protection::Checker(c) => c.clear_exception_flag(),
-            Protection::Cached(c) => c.clear_exception_flag(),
-            Protection::Baseline(_) => {}
+        if let Some(c) = self.protection.cap_mut() {
+            c.clear_exception_flag();
         }
     }
 
@@ -1537,30 +1474,37 @@ impl HeteroSystem {
     /// Returns `(corruption detections, capabilities re-granted)`, or
     /// `None` when the protection is not the cached variant.
     pub fn degrade_to_uncached(&mut self) -> Option<(u64, u64)> {
-        let (detections, base) = match &self.protection {
-            Protection::Cached(c) => (c.corruption_detected(), c.config().base),
-            _ => return None,
-        };
-        let mut checker = CapChecker::new(base);
+        let cached = self.cached_checker()?;
+        let detections = cached.corruption_detected();
+        let regranted = self.rebuild_checker(CapChecker::new(*cached.config()));
+        self.record(EventKind::CheckerDegraded {
+            detections,
+            regranted,
+        });
+        Some((detections, regranted))
+    }
+
+    /// Replaces the CapChecker with `fresh`, re-granting every live
+    /// accelerator task's device capabilities through `fresh`'s import
+    /// path and charging the driver clock for each attempt. Statistics,
+    /// attribution, and any installed static-verdict map do not survive.
+    /// Returns the number of capabilities re-granted.
+    fn rebuild_checker(&mut self, mut fresh: CapChecker) -> u64 {
+        let install = fresh.install_cycles() + self.config.mmio_write_cycles;
         let mut regranted = 0u64;
-        let install = base.install_cycles() + self.config.mmio_write_cycles;
         for (&id, st) in &self.tasks {
             if st.fu.is_none() {
                 continue;
             }
             for (i, cap) in st.device_caps.iter().enumerate() {
                 self.driver_clock = self.driver_clock.saturating_add(install);
-                if install_over_mmio(&mut checker, id, ObjectId(i as u16), cap).is_ok() {
+                if fresh.install(id, ObjectId(i as u16), cap).is_ok() {
                     regranted += 1;
                 }
             }
         }
-        self.protection = Protection::Checker(checker);
-        self.record(EventKind::CheckerDegraded {
-            detections,
-            regranted,
-        });
-        Some((detections, regranted))
+        self.protection = Protection::Cap(Box::new(fresh));
+        regranted
     }
 
     /// Probationary release: returns a quarantined functional unit to the
@@ -1582,11 +1526,7 @@ impl HeteroSystem {
     /// `None` on baseline systems, which have no mode to adapt.
     #[must_use]
     pub fn checker_mode(&self) -> Option<CheckerMode> {
-        match &self.protection {
-            Protection::Checker(c) => Some(c.mode()),
-            Protection::Cached(c) => Some(c.config().base.mode),
-            Protection::Baseline(_) => None,
-        }
+        self.protection.cap().map(CapChecker::mode)
     }
 
     /// Reverses [`HeteroSystem::degrade_to_uncached`]: swaps the
@@ -1601,25 +1541,8 @@ impl HeteroSystem {
     /// Returns the number of capabilities re-granted, or `None` when the
     /// active protection is not the fixed-table checker.
     pub fn repromote_to_cached(&mut self, config: CachedCheckerConfig) -> Option<u64> {
-        if !matches!(self.protection, Protection::Checker(_)) {
-            return None;
-        }
-        let mut cached = CachedCapChecker::new(config);
-        let mut regranted = 0u64;
-        for (&id, st) in &self.tasks {
-            if st.fu.is_none() {
-                continue;
-            }
-            for (i, cap) in st.device_caps.iter().enumerate() {
-                self.driver_clock = self
-                    .driver_clock
-                    .saturating_add(self.config.mmio_write_cycles);
-                if cached.grant(id, ObjectId(i as u16), cap).is_ok() {
-                    regranted += 1;
-                }
-            }
-        }
-        self.protection = Protection::Cached(cached);
+        self.checker()?;
+        let regranted = self.rebuild_checker(CapChecker::cached(config));
         self.record(EventKind::CheckerRepromoted { regranted });
         Some(regranted)
     }
@@ -1634,50 +1557,11 @@ impl HeteroSystem {
     /// Returns the number of capabilities re-granted; `None` on baseline
     /// systems or when the checker already runs in `mode` (no-op).
     pub fn set_checker_mode(&mut self, mode: CheckerMode) -> Option<u64> {
-        let current = self.checker_mode()?;
-        if current == mode {
+        let current = self.protection.cap()?;
+        if current.mode() == mode {
             return None;
         }
-        let mut regranted = 0u64;
-        match &self.protection {
-            Protection::Checker(c) => {
-                let mut cfg = *c.config();
-                cfg.mode = mode;
-                let mut checker = CapChecker::new(cfg);
-                let install = cfg.install_cycles() + self.config.mmio_write_cycles;
-                for (&id, st) in &self.tasks {
-                    if st.fu.is_none() {
-                        continue;
-                    }
-                    for (i, cap) in st.device_caps.iter().enumerate() {
-                        self.driver_clock = self.driver_clock.saturating_add(install);
-                        if install_over_mmio(&mut checker, id, ObjectId(i as u16), cap).is_ok() {
-                            regranted += 1;
-                        }
-                    }
-                }
-                self.protection = Protection::Checker(checker);
-            }
-            Protection::Cached(c) => {
-                let cfg = c.config().with_mode(mode);
-                let mut cached = CachedCapChecker::new(cfg);
-                for (&id, st) in &self.tasks {
-                    if st.fu.is_none() {
-                        continue;
-                    }
-                    for (i, cap) in st.device_caps.iter().enumerate() {
-                        self.driver_clock = self
-                            .driver_clock
-                            .saturating_add(self.config.mmio_write_cycles);
-                        if cached.grant(id, ObjectId(i as u16), cap).is_ok() {
-                            regranted += 1;
-                        }
-                    }
-                }
-                self.protection = Protection::Cached(cached);
-            }
-            Protection::Baseline(_) => unreachable!("checker_mode() returned Some"),
-        }
+        let regranted = self.rebuild_checker(current.fresh(mode));
         // Reload every live FU's base pointers for the new address view.
         let coarse = self.coarse_config();
         for st in self.tasks.values() {
@@ -1698,30 +1582,6 @@ impl HeteroSystem {
             regranted,
         });
         Some(regranted)
-    }
-}
-
-/// Stages a capability through the CapChecker's MMIO register map — the
-/// driver's actual install sequence on the capability interconnect.
-fn install_over_mmio(
-    checker: &mut CapChecker,
-    task: TaskId,
-    object: ObjectId,
-    cap: &Capability,
-) -> Result<(), GrantError> {
-    use crate::checker::regs;
-    use hetsim::mmio::MmioDevice;
-    let bits = cap.compress().bits();
-    checker.mmio_write(regs::CAP_LO, bits as u64);
-    checker.mmio_write(regs::CAP_HI, (bits >> 64) as u64);
-    checker.mmio_write(regs::TAG, u64::from(cap.is_valid()));
-    checker.mmio_write(regs::TASK, u64::from(task.0));
-    checker.mmio_write(regs::OBJECT, u64::from(object.0));
-    checker.mmio_write(regs::COMMIT, 1);
-    match checker.mmio_read(regs::COMMIT) {
-        regs::STATUS_OK => Ok(()),
-        regs::STATUS_FULL => Err(GrantError::TableFull),
-        _ => Err(GrantError::InvalidCapability),
     }
 }
 
@@ -1939,6 +1799,42 @@ mod tests {
     }
 
     #[test]
+    fn offending_objects_follow_each_stores_exception_trace() {
+        use hetsim::Access;
+        for (protection, expected) in [
+            // The table flags existing entries only: the no-entry denial
+            // on object 7 has no entry to flag.
+            (
+                ProtectionChoice::CapChecker(CheckerConfig::fine()),
+                vec![ObjectId(1)],
+            ),
+            // The cache traces every pair a denial resolved.
+            (
+                ProtectionChoice::CachedCapChecker(CachedCheckerConfig::default()),
+                vec![ObjectId(1), ObjectId(7)],
+            ),
+        ] {
+            let mut sys = HeteroSystem::new(SystemConfig {
+                protection,
+                ..SystemConfig::default()
+            });
+            sys.add_fus("gemm", 1);
+            let t = sys.allocate_task(&two_buffer_request()).unwrap();
+            let base = sys.accel_layout(t).unwrap().address(1, 0);
+            let probe = |object: u16, addr: u64| {
+                Access::read(MasterId(1), t, addr, 4).with_object(ObjectId(object))
+            };
+            let no_entry = sys.check_raw(&probe(7, base)).unwrap_err();
+            assert_eq!(no_entry.reason, hetsim::DenyReason::NoEntry);
+            for _ in 0..2 {
+                assert!(sys.check_raw(&probe(1, base + 4096)).is_err());
+            }
+            let report = sys.deallocate_task(t).unwrap();
+            assert_eq!(report.offending_objects, expected, "{protection:?}");
+        }
+    }
+
+    #[test]
     fn repromote_reverses_degradation_and_keeps_protection() {
         let mut sys = HeteroSystem::new(SystemConfig {
             protection: ProtectionChoice::CachedCapChecker(Default::default()),
@@ -1948,7 +1844,7 @@ mod tests {
         let t = sys
             .allocate_task(&TaskRequest::accel("k0", "k").rw_buffers([256, 256]))
             .unwrap();
-        let cfg = *sys.cached_checker().unwrap().config();
+        let cfg = CachedCheckerConfig::default();
         sys.degrade_to_uncached().unwrap();
         assert!(sys.checker().is_some());
         assert!(

@@ -10,8 +10,9 @@
 //!
 //! ## What is checked
 //!
-//! Per transition (refinement): every subject — [`capchecker::CapChecker`],
-//! [`capchecker::CachedCapChecker`], the post-degradation path, and the
+//! Per transition (refinement): every subject of
+//! [`conformance::subjects`] — the [`capchecker::CapChecker`] over its
+//! fixed table and over its cache, the degradation path, and the
 //! verdict-elided variants — returns exactly the verdict its spec
 //! demands (the oracle's verdict, or `Granted` on pairs a live
 //! `StaticVerdictMap` waves). Per state (invariants): no access succeeds
@@ -55,4 +56,4 @@ pub use canon::{canonicalize, fnv_hash, Canonical};
 pub use explore::{explore, ExploreConfig, ExploreResult, FoundViolation};
 pub use ops::{alphabet, McOp};
 pub use report::{regression_test, summary, to_json, SCHEMA};
-pub use state::{GrantKind, McConfig, McState, PlantedBug, SavedState, Violation, SUBJECTS};
+pub use state::{GrantKind, McConfig, McState, PlantedBug, Violation};

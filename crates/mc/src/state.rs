@@ -4,10 +4,13 @@
 //! One [`McState`] holds:
 //!
 //! * the PR 4 [`Oracle`] — the *spec* every verdict is compared against;
-//! * five subjects: the fixed-table [`CapChecker`], the
-//!   [`CachedCapChecker`], the post-degradation path (cached until a
-//!   [`McOp::Degrade`], fixed-table after), and an elided variant of
-//!   each (a `StaticVerdictMap`/`VerdictBitmap` installed);
+//! * the five production subjects of [`conformance::subjects`] at the
+//!   model's scaled-down geometry: the fixed-table
+//!   [`CapChecker`](capchecker::CapChecker), the cache-backed one, the
+//!   degradation path (cached until a [`McOp::Degrade`], fixed-table
+//!   after, cached again after a [`McOp::Repromote`]), and an elided
+//!   variant of each store (a `StaticVerdictMap`/`VerdictBitmap`
+//!   installed);
 //! * an *independent* abstract model — which pairs hold which grant,
 //!   which slots hold spilled tags, which pairs the verdict map waves —
 //!   used both to cross-check the oracle ("no access succeeds without a
@@ -20,12 +23,11 @@
 
 use crate::ops::{full_cap, mem_bytes, narrow_cap, slot_base, McOp, NARROW_BYTES, SLOT_BYTES};
 use capchecker::{
-    sweep_revoked, CachedCapChecker, CachedCheckerConfig, CachedCheckerSnapshot, CapChecker,
-    CheckerConfig, CheckerSnapshot, StaticVerdict, StaticVerdictMap,
+    sweep_revoked, CachedCheckerConfig, CheckerConfig, StaticVerdict, StaticVerdictMap,
 };
 use cheri::{CapFault, Capability};
-use conformance::{Oracle, Verdict};
-use hetsim::{Access, Denial, DenyReason, MasterId, ObjectId, TaggedMemory, TaskId};
+use conformance::{CheckerSubject, Oracle, Subject, Verdict};
+use hetsim::{Access, DenyReason, MasterId, ObjectId, TaggedMemory, TaskId};
 use ioprotect::IoProtection;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -81,18 +83,15 @@ impl McConfig {
         usize::from(self.tasks) * usize::from(self.objects)
     }
 
-    fn checker_config(self) -> CheckerConfig {
-        CheckerConfig {
-            entries: self.pairs(),
-            ..CheckerConfig::fine()
-        }
-    }
-
+    /// A table with one entry per pair, and a 4-line cache over it.
     fn cached_config(self) -> CachedCheckerConfig {
         CachedCheckerConfig {
             cache_entries: 4,
             miss_penalty: 35,
-            base: self.checker_config(),
+            base: CheckerConfig {
+                entries: self.pairs(),
+                ..CheckerConfig::fine()
+            },
         }
     }
 }
@@ -106,21 +105,10 @@ pub enum GrantKind {
     Narrow,
 }
 
-/// The degradation-path subject: cached until degraded, fixed after.
-#[derive(Clone, Debug)]
-enum DegradingPath {
-    Cached(CachedCapChecker),
-    Fixed(CapChecker),
-}
-
-/// Display names of the five subjects, in expected-flag index order.
-pub const SUBJECTS: [&str; 5] = [
-    "CapChecker",
-    "CachedCapChecker",
-    "DegradingPath",
-    "CapChecker+Verdicts",
-    "CachedCapChecker+Verdicts",
-];
+/// Index of the degradation path in [`conformance::subjects`] order.
+const DEGRADING: usize = 2;
+/// Index of the first elision-enabled subject; the rest follow it.
+const ELIDED: usize = 3;
 
 /// One property violation: which subject broke which property, and how.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,11 +141,9 @@ const PROBES: [Probe; 4] = [
 pub struct McState {
     cfg: McConfig,
     oracle: Oracle,
-    uncached: CapChecker,
-    cached: CachedCapChecker,
-    degrading: DegradingPath,
-    elided: CapChecker,
-    elided_cached: CachedCapChecker,
+    /// The production subjects, in [`conformance::subjects`] order; each
+    /// carries the exception flag its verdicts predict.
+    subjects: [CheckerSubject; 5],
     /// Live grants: the independent model the oracle is checked against.
     shadow: BTreeMap<(u8, u8), GrantKind>,
     /// Pairs whose slot currently holds a spilled, tagged capability.
@@ -171,39 +157,6 @@ pub struct McState {
     segment: BTreeSet<(u8, u8)>,
     /// Whether verdict maps are installed on the elided subjects.
     maps_live: bool,
-    /// Expected exception flags, one per [`SUBJECTS`] entry.
-    expected: [bool; 5],
-}
-
-/// Architectural snapshot of one [`McState`], built from the checker
-/// snapshot hooks — what the BFS frontier stores between depth levels.
-#[derive(Clone, Debug)]
-pub struct SavedState {
-    uncached: CheckerSnapshot,
-    cached: CachedCheckerSnapshot,
-    degrading: SavedDegrading,
-    elided: CheckerSnapshot,
-    elided_cached: CachedCheckerSnapshot,
-    oracle: Oracle,
-    shadow: BTreeMap<(u8, u8), GrantKind>,
-    spills: BTreeSet<(u8, u8)>,
-    safe: BTreeSet<(u8, u8)>,
-    segment: BTreeSet<(u8, u8)>,
-    maps_live: bool,
-    expected: [bool; 5],
-}
-
-#[derive(Clone, Debug)]
-enum SavedDegrading {
-    Cached(CachedCheckerSnapshot),
-    Fixed(CheckerSnapshot),
-}
-
-fn to_verdict(result: Result<(), Denial>) -> Verdict {
-    match result {
-        Ok(()) => Verdict::Granted,
-        Err(denial) => Verdict::Denied(denial.reason),
-    }
 }
 
 /// A relabeling-invariant label for one verdict: the grant/deny shape
@@ -241,17 +194,14 @@ impl McState {
         McState {
             cfg,
             oracle: Oracle::new(cfg.pairs()),
-            uncached: CapChecker::new(cfg.checker_config()),
-            cached: CachedCapChecker::new(cfg.cached_config()),
-            degrading: DegradingPath::Cached(CachedCapChecker::new(cfg.cached_config())),
-            elided: CapChecker::new(cfg.checker_config()),
-            elided_cached: CachedCapChecker::new(cfg.cached_config()),
+            // The degradation path moves only on explicit Degrade and
+            // Repromote ops, never at an op index.
+            subjects: conformance::subjects(cfg.cached_config(), u64::MAX),
             shadow: BTreeMap::new(),
             spills: BTreeSet::new(),
             safe: BTreeSet::new(),
             segment: BTreeSet::new(),
             maps_live: false,
-            expected: [false; 5],
         }
     }
 
@@ -306,14 +256,9 @@ impl McState {
             McOp::Revoke { task } => {
                 self.oracle.revoke_task(TaskId(u32::from(task)));
                 let tid = TaskId(u32::from(task));
-                self.uncached.revoke_task(tid);
-                self.cached.revoke_task(tid);
-                match &mut self.degrading {
-                    DegradingPath::Cached(c) => c.revoke_task(tid),
-                    DegradingPath::Fixed(f) => f.revoke_task(tid),
+                for subject in &mut self.subjects {
+                    subject.revoke_task(tid);
                 }
-                self.elided.revoke_task(tid);
-                self.elided_cached.revoke_task(tid);
                 self.shadow.retain(|&(t, _), _| t != task);
             }
             McOp::Sweep { task } => self.sweep_op(op, task)?,
@@ -330,10 +275,8 @@ impl McState {
                         self.safe.insert((t, o));
                     }
                 }
-                self.elided.set_static_verdicts(map.clone());
-                self.elided_cached.set_static_verdicts(map);
+                self.install_maps(&map);
                 self.segment = self.safe.clone();
-                self.maps_live = true;
             }
             McOp::InstallSegmentVerdicts => {
                 // The driver's install-after-drop: re-install the
@@ -352,9 +295,7 @@ impl McState {
                         self.safe.insert((t, o));
                     }
                 }
-                self.elided.set_static_verdicts(map.clone());
-                self.elided_cached.set_static_verdicts(map);
-                self.maps_live = true;
+                self.install_maps(&map);
             }
             McOp::ModeSwitch => {
                 // The actuator's architectural effect: every checker is
@@ -362,72 +303,35 @@ impl McState {
                 // latched flags cleared. (The Fine⇄Coarse address view is
                 // a provenance-resolution detail orthogonal to the
                 // properties checked here; the model stays Fine-judged.)
-                self.uncached = self.rebuild_fixed();
-                self.cached = self.rebuild_cached();
-                self.degrading = match self.degrading {
-                    DegradingPath::Cached(_) => DegradingPath::Cached(self.rebuild_cached()),
-                    DegradingPath::Fixed(_) => DegradingPath::Fixed(self.rebuild_fixed()),
-                };
-                self.elided = self.rebuild_fixed();
-                self.elided_cached = self.rebuild_cached();
+                for subject in &mut self.subjects {
+                    subject.rebuild();
+                }
                 self.safe.clear();
                 self.maps_live = false;
-                self.expected = [false; 5];
                 // `segment` deliberately survives: the retained ledger
                 // lives driver-side, outside the rebuilt checkers.
             }
             McOp::Degrade => {
-                if matches!(self.degrading, DegradingPath::Cached(_)) {
-                    self.degrading = DegradingPath::Fixed(self.rebuild_fixed());
-                    self.expected[2] = false;
-                }
+                self.subjects[DEGRADING].degrade();
             }
             McOp::Repromote => {
-                if matches!(self.degrading, DegradingPath::Fixed(_)) {
-                    self.degrading = DegradingPath::Cached(self.rebuild_cached());
-                    self.expected[2] = false;
-                }
+                self.subjects[DEGRADING].repromote();
             }
         }
         self.invariants(op)
     }
 
-    /// A fresh fixed-table checker with every live grant re-granted, in
-    /// grant-model (BTreeMap) order — the driver's rebuild sequence.
-    fn rebuild_fixed(&self) -> CapChecker {
-        let mut checker = CapChecker::new(self.cfg.checker_config());
-        for (&(t, o), &kind) in &self.shadow {
-            checker
-                .grant(
-                    TaskId(u32::from(t)),
-                    ObjectId(u16::from(o)),
-                    &self.grant_cap(t, o, kind),
-                )
-                .expect("re-granting a live capability cannot fail");
+    /// Installs `map` on the elided subjects.
+    fn install_maps(&mut self, map: &StaticVerdictMap) {
+        for subject in &mut self.subjects[ELIDED..] {
+            subject.install_verdicts(map);
         }
-        checker
+        self.maps_live = true;
     }
 
-    /// A fresh cached checker with every live grant re-granted.
-    fn rebuild_cached(&self) -> CachedCapChecker {
-        let mut checker = CachedCapChecker::new(self.cfg.cached_config());
-        for (&(t, o), &kind) in &self.shadow {
-            checker
-                .grant(
-                    TaskId(u32::from(t)),
-                    ObjectId(u16::from(o)),
-                    &self.grant_cap(t, o, kind),
-                )
-                .expect("re-granting a live capability cannot fail");
-        }
-        checker
-    }
-
-    fn grant_cap(&self, task: u8, object: u8, kind: GrantKind) -> Capability {
-        match kind {
-            GrantKind::Full => full_cap(task, object, self.cfg.objects),
-            GrantKind::Narrow => narrow_cap(task, object, self.cfg.objects),
-        }
+    /// Whether the degradation path currently runs the fixed table.
+    fn degraded(&self) -> bool {
+        !self.subjects[DEGRADING].checker().is_cached()
     }
 
     fn grant_op(
@@ -441,22 +345,13 @@ impl McState {
         let tid = TaskId(u32::from(task));
         let oid = ObjectId(u16::from(object));
         let spec = self.oracle.grant(tid, oid, &cap);
-        let got = [
-            self.uncached.grant(tid, oid, &cap),
-            self.cached.grant(tid, oid, &cap),
-            match &mut self.degrading {
-                DegradingPath::Cached(c) => c.grant(tid, oid, &cap),
-                DegradingPath::Fixed(f) => f.grant(tid, oid, &cap),
-            },
-            self.elided.grant(tid, oid, &cap),
-            self.elided_cached.grant(tid, oid, &cap),
-        ];
-        for (i, g) in got.iter().enumerate() {
-            if *g != spec {
+        for subject in &mut self.subjects {
+            let got = subject.grant(tid, oid, &cap);
+            if got != spec {
                 return Err(Violation {
-                    subject: SUBJECTS[i].to_string(),
+                    subject: subject.name().to_string(),
                     property: "grant-refinement",
-                    detail: format!("{op:?}: oracle said {spec:?}, subject said {g:?}"),
+                    detail: format!("{op:?}: oracle said {spec:?}, subject said {got:?}"),
                 });
             }
         }
@@ -532,12 +427,13 @@ impl McState {
         )
     }
 
-    /// The fixed-table subject's verdict, with the planted off-by-one
-    /// applied when enabled: a bounds denial is retried one byte shorter
-    /// and waved through if the retry passes.
-    fn uncached_verdict(&mut self, access: &Access) -> Verdict {
-        let first = to_verdict(self.uncached.check(access));
-        if self.cfg.planted == Some(PlantedBug::BoundsOffByOne)
+    /// Subject `i`'s verdict, with the planted off-by-one applied to
+    /// subject 0 when enabled: a bounds denial is retried one byte
+    /// shorter and waved through if the retry passes.
+    fn verdict(&mut self, i: usize, access: &Access) -> Verdict {
+        let first = self.subjects[i].check(access).verdict;
+        if i == 0
+            && self.cfg.planted == Some(PlantedBug::BoundsOffByOne)
             && matches!(
                 first,
                 Verdict::Denied(DenyReason::Capability(CapFault::BoundsViolation { .. }))
@@ -546,8 +442,9 @@ impl McState {
         {
             let mut shorter = *access;
             shorter.len -= 1;
-            if self.uncached.check(&shorter).is_ok() {
-                self.uncached.clear_exception_flag();
+            let checker = self.subjects[0].checker_mut();
+            if checker.check(&shorter).is_ok() {
+                checker.clear_exception_flag();
                 return Verdict::Granted;
             }
         }
@@ -572,41 +469,19 @@ impl McState {
         // Elided subjects wave waved pairs (with provenance) by design;
         // everything else must match the oracle verdict exactly.
         let waved = self.safe.contains(&(task, object)) && probe != Probe::ReadNoProv;
-        let elided_spec = if waved {
-            Verdict::Granted
-        } else {
-            oracle_verdict
-        };
-        let specs = [
-            oracle_verdict,
-            oracle_verdict,
-            oracle_verdict,
-            elided_spec,
-            elided_spec,
-        ];
-        let got = [
-            self.uncached_verdict(&access),
-            to_verdict(self.cached.check(&access)),
-            match &mut self.degrading {
-                DegradingPath::Cached(c) => to_verdict(c.check(&access)),
-                DegradingPath::Fixed(f) => to_verdict(f.check(&access)),
-            },
-            to_verdict(self.elided.check(&access)),
-            to_verdict(self.elided_cached.check(&access)),
-        ];
-        for i in 0..SUBJECTS.len() {
-            if got[i] != specs[i] {
+        for i in 0..self.subjects.len() {
+            let spec = if i >= ELIDED && waved {
+                Verdict::Granted
+            } else {
+                oracle_verdict
+            };
+            let got = self.verdict(i, &access);
+            if got != spec {
                 return Err(Violation {
-                    subject: SUBJECTS[i].to_string(),
+                    subject: self.subjects[i].name().to_string(),
                     property: "verdict-refinement",
-                    detail: format!(
-                        "{op:?}: spec says {:?}, subject says {:?}",
-                        specs[i], got[i]
-                    ),
+                    detail: format!("{op:?}: spec says {spec:?}, subject says {got:?}"),
                 });
-            }
-            if specs[i] != Verdict::Granted {
-                self.expected[i] = true;
             }
         }
         // A granted DMA write is capability-unaware downstream: it clears
@@ -675,42 +550,20 @@ impl McState {
 
     /// Per-state invariants, checked after every transition.
     fn invariants(&self, op: McOp) -> Result<(), Violation> {
-        let coherent = [
-            self.uncached.verdicts_coherent(),
-            self.cached.verdicts_coherent(),
-            match &self.degrading {
-                DegradingPath::Cached(c) => c.verdicts_coherent(),
-                DegradingPath::Fixed(f) => f.verdicts_coherent(),
-            },
-            self.elided.verdicts_coherent(),
-            self.elided_cached.verdicts_coherent(),
-        ];
-        let actual = [
-            self.uncached.exception_flag(),
-            self.cached.exception_flag(),
-            match &self.degrading {
-                DegradingPath::Cached(c) => c.exception_flag(),
-                DegradingPath::Fixed(f) => f.exception_flag(),
-            },
-            self.elided.exception_flag(),
-            self.elided_cached.exception_flag(),
-        ];
-        for i in 0..SUBJECTS.len() {
-            if !coherent[i] {
+        for subject in &self.subjects {
+            if !subject.checker().verdicts_coherent() {
                 return Err(Violation {
-                    subject: SUBJECTS[i].to_string(),
+                    subject: subject.name().to_string(),
                     property: "verdict-coherence",
                     detail: format!("{op:?}: verdict bitmap diverged from the installed map"),
                 });
             }
-            if actual[i] != self.expected[i] {
+            let (actual, expected) = (subject.exception_flag(), subject.expected_exception_flag());
+            if actual != expected {
                 return Err(Violation {
-                    subject: SUBJECTS[i].to_string(),
+                    subject: subject.name().to_string(),
                     property: "exception-flag",
-                    detail: format!(
-                        "{op:?}: exception flag is {}, model expects {}",
-                        actual[i], self.expected[i]
-                    ),
+                    detail: format!("{op:?}: exception flag is {actual}, model expects {expected}"),
                 });
             }
         }
@@ -735,14 +588,17 @@ impl McState {
         Ok(())
     }
 
-    /// Whether no [`Self::expected`] flag would newly latch if this probe
-    /// ran now — i.e. every subject's spec is `Granted`, or the flags the
-    /// denials would set are already set.
+    /// Whether no expected exception flag would newly latch if this
+    /// probe ran now — i.e. every subject's spec is `Granted`, or the
+    /// flags the denials would set are already set.
     fn probe_flags_inert(&self, task: u8, object: u8, probe: Probe) -> bool {
         let granted = self.shadow_grants(task, object, probe);
         let waved = self.safe.contains(&(task, object)) && probe != Probe::ReadNoProv;
-        let plain_inert = granted || (self.expected[0] && self.expected[1] && self.expected[2]);
-        let elided_inert = granted || waved || (self.expected[3] && self.expected[4]);
+        let latched = |subjects: &[CheckerSubject]| {
+            subjects.iter().all(CheckerSubject::expected_exception_flag)
+        };
+        let plain_inert = granted || latched(&self.subjects[..ELIDED]);
+        let elided_inert = granted || waved || latched(&self.subjects[ELIDED..]);
         plain_inert && elided_inert
     }
 
@@ -810,8 +666,8 @@ impl McState {
                         .eq(self.safe.iter().copied())
             }
             McOp::ModeSwitch => false,
-            McOp::Degrade => matches!(self.degrading, DegradingPath::Fixed(_)),
-            McOp::Repromote => matches!(self.degrading, DegradingPath::Cached(_)),
+            McOp::Degrade => self.degraded(),
+            McOp::Repromote => !self.degraded(),
         }
     }
 
@@ -837,10 +693,10 @@ impl McState {
     #[must_use]
     pub fn global_bits(&self) -> u8 {
         let mut bits = 0u8;
-        for (i, &flag) in self.expected.iter().enumerate() {
-            bits |= u8::from(flag) << i;
+        for (i, subject) in self.subjects.iter().enumerate() {
+            bits |= u8::from(subject.expected_exception_flag()) << i;
         }
-        bits |= u8::from(matches!(self.degrading, DegradingPath::Fixed(_))) << 5;
+        bits |= u8::from(self.degraded()) << 5;
         bits |= u8::from(self.maps_live) << 6;
         bits
     }
@@ -856,93 +712,16 @@ impl McState {
         for probe in PROBES {
             let mut fork = self.clone();
             let access = fork.build_access(task, object, probe);
-            let verdicts = [
-                fork.uncached_verdict(&access),
-                to_verdict(fork.cached.check(&access)),
-                match &mut fork.degrading {
-                    DegradingPath::Cached(c) => to_verdict(c.check(&access)),
-                    DegradingPath::Fixed(f) => to_verdict(f.check(&access)),
-                },
-                to_verdict(fork.elided.check(&access)),
-                to_verdict(fork.elided_cached.check(&access)),
-            ];
             out.push('[');
-            for (i, verdict) in verdicts.iter().enumerate() {
+            for i in 0..fork.subjects.len() {
                 if i > 0 {
                     out.push(' ');
                 }
-                out.push_str(verdict_label(verdict));
+                out.push_str(verdict_label(&fork.verdict(i, &access)));
             }
             out.push_str("];");
         }
         out
-    }
-
-    /// Captures the state via the checker snapshot hooks — the compact
-    /// form the BFS frontier stores.
-    #[must_use]
-    pub fn save(&self) -> SavedState {
-        SavedState {
-            uncached: self.uncached.snapshot(),
-            cached: self.cached.snapshot(),
-            degrading: match &self.degrading {
-                DegradingPath::Cached(c) => SavedDegrading::Cached(c.snapshot()),
-                DegradingPath::Fixed(f) => SavedDegrading::Fixed(f.snapshot()),
-            },
-            elided: self.elided.snapshot(),
-            elided_cached: self.elided_cached.snapshot(),
-            oracle: self.oracle.clone(),
-            shadow: self.shadow.clone(),
-            spills: self.spills.clone(),
-            safe: self.safe.clone(),
-            segment: self.segment.clone(),
-            maps_live: self.maps_live,
-            expected: self.expected,
-        }
-    }
-
-    /// Reconstructs a state from a [`SavedState`]: fresh checkers,
-    /// verdict maps re-installed when they were live, then the snapshot
-    /// hooks restore the architectural state.
-    #[must_use]
-    pub fn from_saved(cfg: McConfig, saved: &SavedState) -> McState {
-        let mut state = McState::new(cfg);
-        if saved.maps_live {
-            let mut map = StaticVerdictMap::new();
-            for &(t, o) in &saved.safe {
-                map.set(
-                    TaskId(u32::from(t)),
-                    ObjectId(u16::from(o)),
-                    StaticVerdict::Safe,
-                );
-            }
-            state.elided.set_static_verdicts(map.clone());
-            state.elided_cached.set_static_verdicts(map);
-        }
-        state.uncached.restore(&saved.uncached);
-        state.cached.restore(&saved.cached);
-        state.degrading = match &saved.degrading {
-            SavedDegrading::Cached(snap) => {
-                let mut c = CachedCapChecker::new(cfg.cached_config());
-                c.restore(snap);
-                DegradingPath::Cached(c)
-            }
-            SavedDegrading::Fixed(snap) => {
-                let mut f = CapChecker::new(cfg.checker_config());
-                f.restore(snap);
-                DegradingPath::Fixed(f)
-            }
-        };
-        state.elided.restore(&saved.elided);
-        state.elided_cached.restore(&saved.elided_cached);
-        state.oracle = saved.oracle.clone();
-        state.shadow = saved.shadow.clone();
-        state.spills = saved.spills.clone();
-        state.safe = saved.safe.clone();
-        state.segment = saved.segment.clone();
-        state.maps_live = saved.maps_live;
-        state.expected = saved.expected;
-        state
     }
 
     /// Replays `ops` from the initial state, returning the first
@@ -1035,35 +814,5 @@ mod tests {
         let violation = McState::replay(cfg, &ops).expect("the planted bug must be caught");
         assert_eq!(violation.property, "verdict-refinement");
         assert_eq!(violation.subject, "CapChecker");
-    }
-
-    #[test]
-    fn save_restore_round_trips_cells_and_probes() {
-        let cfg = McConfig::new(2, 2);
-        let mut state = McState::new(cfg);
-        for op in [
-            McOp::GrantFull { task: 0, object: 0 },
-            McOp::GrantNarrow { task: 1, object: 1 },
-            McOp::Spill { task: 1, object: 0 },
-            McOp::InstallVerdicts,
-            McOp::ReadEdge { task: 0, object: 0 },
-            McOp::Degrade,
-        ] {
-            state.apply(op).unwrap();
-        }
-        let restored = McState::from_saved(cfg, &state.save());
-        for t in 0..2 {
-            for o in 0..2 {
-                assert_eq!(state.cell(t, o), restored.cell(t, o));
-                assert_eq!(state.probe_pair(t, o), restored.probe_pair(t, o));
-            }
-        }
-        assert_eq!(state.global_bits(), restored.global_bits());
-        // And the restored state keeps evolving identically.
-        let op = McOp::Read { task: 1, object: 1 };
-        let mut a = state;
-        let mut b = restored;
-        assert_eq!(a.apply(op), b.apply(op));
-        assert_eq!(a.global_bits(), b.global_bits());
     }
 }

@@ -40,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sys.checker()
             .expect("CapChecker present")
             .table()
+            .expect("fixed-table store")
             .capacity()
     );
 
