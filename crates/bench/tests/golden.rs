@@ -13,15 +13,53 @@
 //!
 //! and commit the rewritten files — the diff *is* the review artifact.
 
+use capchecker::{
+    run_adaptive_campaign, run_campaign_grid, AdaptConfig, CampaignConfig, CampaignReport,
+};
 use capcheri_bench::{
     fig10, fig11, fig12, fig7, fig8, fig9, flowreport, staticreport, table1, table2, table3,
 };
+use hetsim::FaultSpec;
 use obs::json::JsonWriter;
 use std::fs;
 use std::path::PathBuf;
 
+/// The CI campaign: every fault kind at rate 0.8, seed 0xCAFE.
+fn campaign_config(tasks: u32) -> CampaignConfig {
+    CampaignConfig {
+        tasks,
+        seed: 51966,
+        spec: "all:0.8".parse::<FaultSpec>().expect("valid spec"),
+        ..CampaignConfig::default()
+    }
+}
+
+/// The CI campaign under each of threatbench's static protection arms,
+/// one `capcheri.fault_campaign.v1` document per line.
+fn fault_campaign_report(threads: usize) -> String {
+    let configs: Vec<CampaignConfig> = threatbench::recovery::static_arms()
+        .into_iter()
+        .map(|(_, protection)| CampaignConfig {
+            protection,
+            ..campaign_config(64)
+        })
+        .collect();
+    let reports = run_campaign_grid(&configs, threads).expect("campaigns run");
+    let docs: Vec<String> = reports.iter().map(CampaignReport::to_json).collect();
+    docs.join("\n")
+}
+
+/// The adaptive campaign at a task count that is not a multiple of the
+/// epoch length, so the trailing partial epoch is pinned too.
+fn adapt_campaign_report() -> String {
+    run_adaptive_campaign(&campaign_config(62), &AdaptConfig::default())
+        .expect("campaign runs")
+        .to_json()
+}
+
 /// Every pinned artifact: `(name, kind, report at `threads`)`. Tables
-/// have no parallel path and ignore the thread count.
+/// and the adaptive campaign have no parallel path and ignore the thread
+/// count.
 fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
     vec![
         ("fig7", "figure", fig7::report_threads(threads)),
@@ -36,6 +74,8 @@ fn artifacts(threads: usize) -> Vec<(&'static str, &'static str, String)> {
             staticreport::report_threads(threads),
         ),
         ("flowreport", "report", flowreport::report_threads(threads)),
+        ("fault_campaign", "report", fault_campaign_report(threads)),
+        ("adapt_campaign", "report", adapt_campaign_report()),
         ("table1", "table", table1::report()),
         ("table2", "table", table2::report()),
         ("table3", "table", table3::report()),

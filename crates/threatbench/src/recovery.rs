@@ -173,16 +173,12 @@ fn completed_of(report: &CampaignReport) -> u64 {
         .count() as u64
 }
 
-/// Runs one seeded campaign under three static protection configurations
-/// and once under the adaptive controller, and tabulates completions.
-///
-/// # Panics
-///
-/// Panics if any campaign wedges the driver — as with
-/// [`survival_row`], that *is* the finding.
+/// The three static protection configurations the adaptive controller is
+/// raced against, in declaration order: the cached checker in each
+/// provenance mode, and the uncached fixed table.
 #[must_use]
-pub fn adaptive_vs_static(spec: &FaultSpec, tasks: u32, seed: u64) -> AdaptiveSurvival {
-    let arms = [
+pub fn static_arms() -> [(&'static str, ProtectionChoice); 3] {
+    [
         (
             "cached-fine",
             ProtectionChoice::CachedCapChecker(CachedCheckerConfig::default()),
@@ -197,8 +193,19 @@ pub fn adaptive_vs_static(spec: &FaultSpec, tasks: u32, seed: u64) -> AdaptiveSu
             "uncached-fine",
             ProtectionChoice::CapChecker(CheckerConfig::fine()),
         ),
-    ];
-    let static_arms = arms
+    ]
+}
+
+/// Runs one seeded campaign under the three [`static_arms`] and once
+/// under the adaptive controller, and tabulates completions.
+///
+/// # Panics
+///
+/// Panics if any campaign wedges the driver — as with
+/// [`survival_row`], that *is* the finding.
+#[must_use]
+pub fn adaptive_vs_static(spec: &FaultSpec, tasks: u32, seed: u64) -> AdaptiveSurvival {
+    let static_arms = static_arms()
         .into_iter()
         .map(|(label, protection)| {
             let config = CampaignConfig {
