@@ -80,6 +80,10 @@
 //! the elided checkers against the golden oracle; a divergence fails
 //! the run.
 //!
+//! Every subcommand exits 2 on a bad invocation (unknown flag, missing
+//! or unparsable value), so a broken harness is never mistaken for a
+//! red verdict (exit 1).
+//!
 //! Examples:
 //!
 //! ```text
@@ -93,7 +97,6 @@ use capchecker::{run_adaptive_campaign, run_campaign, AdaptConfig, CampaignConfi
 use capcheri_bench::adapt::AdaptBenchReport;
 use capcheri_bench::profile::ProfileReport;
 use capcheri_bench::runner;
-use hetsim::FaultSpec;
 use machsuite::Benchmark;
 use obs::report::{reports_to_json, BenchReport};
 use std::process::ExitCode;
@@ -135,36 +138,44 @@ fn usage() -> String {
     )
 }
 
+/// The value after `flag`, parsed; errors name the flag.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Applies one of the campaign flags `faults` and `adapt` share
+/// (`--spec`, `--tasks`, `--seed`, `--fus`) to `config`. Returns
+/// `Ok(false)` when `flag` is not one of them.
+fn campaign_flag(
+    config: &mut CampaignConfig,
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, String> {
+    match flag {
+        "--spec" => config.spec = flag_value(flag, it)?,
+        "--tasks" => config.tasks = flag_value(flag, it)?,
+        "--seed" => config.seed = flag_value(flag, it)?,
+        "--fus" => config.fus = flag_value(flag, it)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_faults(args: &[String]) -> Result<(CampaignConfig, bool), String> {
     let mut config = CampaignConfig::default();
     let mut json = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--spec" => {
-                config.spec = value(&mut it)?
-                    .parse::<FaultSpec>()
-                    .map_err(|e| format!("--spec: {e}"))?;
-            }
-            "--tasks" => {
-                config.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                config.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--fus" => {
-                config.fus = value(&mut it)?.parse().map_err(|e| format!("--fus: {e}"))?;
-            }
             "--json" => json = true,
+            other if campaign_flag(&mut config, other, &mut it)? => {}
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -212,18 +223,9 @@ fn parse_conformance(args: &[String]) -> Result<(u64, u64, bool), String> {
     let (mut seed, mut ops, mut json) = (1u64, 10_000u64, false);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--seed" => {
-                seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--ops" => ops = value(&mut it)?.parse().map_err(|e| format!("--ops: {e}"))?,
+            "--seed" => seed = flag_value(flag, &mut it)?,
+            "--ops" => ops = flag_value(flag, &mut it)?,
             "--json" => json = true,
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
@@ -239,39 +241,17 @@ fn parse_verify(
     let mut out = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--depth" => {
-                cfg.depth = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--depth: {e}"))?;
-            }
-            "--tasks" => {
-                cfg.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--objects" => {
-                cfg.objects = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--objects: {e}"))?;
-            }
-            "--threads" => {
-                cfg.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
-            "--planted-bug" => match value(&mut it)?.as_str() {
+            "--depth" => cfg.depth = flag_value(flag, &mut it)?,
+            "--tasks" => cfg.tasks = flag_value(flag, &mut it)?,
+            "--objects" => cfg.objects = flag_value(flag, &mut it)?,
+            "--threads" => cfg.threads = flag_value::<usize>(flag, &mut it)?.max(1),
+            "--planted-bug" => match flag_value::<String>(flag, &mut it)?.as_str() {
                 "off-by-one" => cfg.planted = Some(capcheri_mc::PlantedBug::BoundsOffByOne),
                 other => return Err(format!("--planted-bug: unknown bug {other:?}")),
             },
             "--json" => json = true,
-            "--out" => out = Some(value(&mut it)?),
+            "--out" => out = Some(flag_value(flag, &mut it)?),
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -359,11 +339,6 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeOptions, String> {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
             "--lint" => opts.lint = true,
             "--flow" => opts.flow = true,
@@ -371,25 +346,12 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeOptions, String> {
                 opts.flow = true;
                 opts.incremental = true;
             }
-            "--streams" => {
-                opts.streams = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--streams: {e}"))?;
-            }
-            "--ops" => opts.ops = value(&mut it)?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
+            "--streams" => opts.streams = flag_value(flag, &mut it)?,
+            "--ops" => opts.ops = flag_value(flag, &mut it)?,
+            "--seed" => opts.seed = flag_value(flag, &mut it)?,
+            "--threads" => opts.threads = flag_value::<usize>(flag, &mut it)?.max(1),
             "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
+            "--out" => opts.out = Some(flag_value(flag, &mut it)?),
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -544,37 +506,19 @@ fn parse_profile(args: &[String]) -> Result<ProfileOptions, String> {
         );
     }
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
             "--variant" => {
-                let v = value(&mut it)?;
+                let v = flag_value::<String>(flag, &mut it)?;
                 opts.variant = SystemVariant::ALL
                     .into_iter()
                     .find(|x| x.label() == v)
                     .ok_or_else(|| format!("unknown variant {v:?}"))?;
             }
-            "--tasks" => {
-                opts.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
+            "--tasks" => opts.tasks = flag_value(flag, &mut it)?,
+            "--seed" => opts.seed = flag_value(flag, &mut it)?,
+            "--threads" => opts.threads = flag_value::<usize>(flag, &mut it)?.max(1),
             "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
+            "--out" => opts.out = Some(flag_value(flag, &mut it)?),
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -615,12 +559,10 @@ fn run_profile(opts: &ProfileOptions) -> ExitCode {
 struct AdaptOptions {
     /// Empty means the `campaign` pseudo-target.
     benches: Vec<Benchmark>,
+    /// The campaign flags. A benchmark target reads only `tasks`
+    /// (concurrent tasks per epoch, default 1) and `seed`.
     campaign: CampaignConfig,
     epochs: u32,
-    /// `None` keeps each target's own default (1 concurrent task per
-    /// bench epoch; the campaign default task count for `campaign`).
-    tasks: Option<usize>,
-    seed: u64,
     threads: usize,
     json: bool,
     out: Option<String>,
@@ -631,8 +573,6 @@ fn parse_adapt(args: &[String]) -> Result<AdaptOptions, String> {
         benches: Vec::new(),
         campaign: CampaignConfig::default(),
         epochs: 4,
-        tasks: None,
-        seed: 0xC0DE,
         threads: perf::auto_threads(),
         json: false,
         out: None,
@@ -647,46 +587,16 @@ fn parse_adapt(args: &[String]) -> Result<AdaptOptions, String> {
                 .map_err(|e| format!("{e}\n\n{}", usage()))?,
         ),
     }
+    if !opts.benches.is_empty() {
+        opts.campaign.tasks = 1;
+    }
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--epochs" => {
-                opts.epochs = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--epochs: {e}"))?;
-            }
-            "--tasks" => {
-                opts.tasks = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| format!("--tasks: {e}"))?,
-                );
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--spec" => {
-                opts.campaign.spec = value(&mut it)?
-                    .parse::<FaultSpec>()
-                    .map_err(|e| format!("--spec: {e}"))?;
-            }
-            "--fus" => {
-                opts.campaign.fus = value(&mut it)?.parse().map_err(|e| format!("--fus: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
+            "--epochs" => opts.epochs = flag_value(flag, &mut it)?,
+            "--threads" => opts.threads = flag_value::<usize>(flag, &mut it)?.max(1),
             "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut it)?),
+            "--out" => opts.out = Some(flag_value(flag, &mut it)?),
+            other if campaign_flag(&mut opts.campaign, other, &mut it)? => {}
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -714,10 +624,7 @@ fn write_or_print(out: &Option<String>, rendered: &str) -> ExitCode {
 
 fn run_adapt_campaign(opts: &AdaptOptions) -> ExitCode {
     let mut config = opts.campaign.clone();
-    if let Some(tasks) = opts.tasks {
-        config.tasks = u32::try_from(tasks.max(1)).map_or(u32::MAX, |t| t);
-    }
-    config.seed = opts.seed;
+    config.tasks = config.tasks.max(1);
     let report = match run_adaptive_campaign(&config, &AdaptConfig::default()) {
         Ok(r) => r,
         Err(e) => {
@@ -777,8 +684,8 @@ fn run_adapt(opts: &AdaptOptions) -> ExitCode {
         AdaptBenchReport::collect(
             opts.benches[i],
             opts.epochs,
-            opts.tasks.unwrap_or(1),
-            opts.seed,
+            opts.campaign.tasks as usize,
+            opts.campaign.seed,
             AdaptConfig::default(),
         )
     });
@@ -819,37 +726,19 @@ fn parse(args: &[String]) -> Result<Options, String> {
         );
     }
     while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
             "--variant" => {
-                let v = value(&mut it)?;
+                let v = flag_value::<String>(flag, &mut it)?;
                 opts.variant = SystemVariant::ALL
                     .into_iter()
                     .find(|x| x.label() == v)
                     .ok_or_else(|| format!("unknown variant {v:?}"))?;
             }
-            "--tasks" => {
-                opts.tasks = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--tasks: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = value(&mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--threads" => {
-                opts.threads = value(&mut it)?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-                    .max(1);
-            }
+            "--tasks" => opts.tasks = flag_value(flag, &mut it)?,
+            "--seed" => opts.seed = flag_value(flag, &mut it)?,
+            "--threads" => opts.threads = flag_value::<usize>(flag, &mut it)?.max(1),
             "--json" => opts.json = true,
-            "--trace-out" => opts.trace_out = Some(value(&mut it)?),
+            "--trace-out" => opts.trace_out = Some(flag_value(flag, &mut it)?),
             other => return Err(format!("unknown flag {other:?}\n\n{}", usage())),
         }
     }
@@ -863,70 +752,28 @@ fn parse(args: &[String]) -> Result<Options, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("conformance") {
-        return match parse_conformance(&args[1..]) {
-            Ok((seed, ops, json)) => run_conformance(seed, ops, json),
-            Err(msg) => {
-                eprintln!("{msg}");
-                // Exit 1 is reserved for "property violated"; a bad
-                // invocation is an internal error (exit 2), so CI can
-                // tell a red verdict from a broken harness.
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("verify") {
-        return match parse_verify(&args[1..]) {
-            Ok((cfg, json, out)) => run_verify(cfg, json, out),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        return match parse_analyze(&args[1..]) {
-            Ok(opts) => run_analyze(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        return match parse_profile(&args[1..]) {
-            Ok(opts) => run_profile(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("adapt") {
-        return match parse_adapt(&args[1..]) {
-            Ok(opts) => run_adapt(&opts),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("faults") {
-        return match parse_faults(&args[1..]) {
-            Ok((config, json)) => run_faults(&config, json),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+    let rest = args.get(1..).unwrap_or_default();
+    let ran = match args.first().map(String::as_str) {
+        Some("conformance") => {
+            parse_conformance(rest).map(|(seed, ops, json)| run_conformance(seed, ops, json))
         }
+        Some("verify") => parse_verify(rest).map(|(cfg, json, out)| run_verify(cfg, json, out)),
+        Some("analyze") => parse_analyze(rest).map(|opts| run_analyze(&opts)),
+        Some("profile") => parse_profile(rest).map(|opts| run_profile(&opts)),
+        Some("adapt") => parse_adapt(rest).map(|opts| run_adapt(&opts)),
+        Some("faults") => parse_faults(rest).map(|(config, json)| run_faults(&config, json)),
+        _ => parse(&args).map(|opts| run_benches(&opts)),
     };
+    ran.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        // Exit 1 is reserved for "property violated"; a bad invocation
+        // is an internal error (exit 2), so CI can tell a red verdict
+        // from a broken harness.
+        ExitCode::from(2)
+    })
+}
+
+fn run_benches(opts: &Options) -> ExitCode {
     let observed = opts.json || opts.trace_out.is_some();
     if !opts.json {
         println!(

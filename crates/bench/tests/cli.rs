@@ -1,4 +1,4 @@
-//! Exit-code contract of the `simulate` verification subcommands.
+//! Exit-code contract of the `simulate` subcommands.
 //!
 //! CI tells three outcomes apart by exit status alone: 0 = every
 //! property held, 1 = a property was violated (a red verdict), 2 = the
@@ -83,6 +83,23 @@ fn conformance_clean_exits_zero_and_bad_invocation_exits_two() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let out = simulate(&["conformance", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+#[test]
+fn every_subcommand_exits_two_on_a_bad_invocation() {
+    for bad in [
+        &["aes", "--tasks", "x"][..],
+        &["faults", "--spec", "all:2.0"][..],
+        &["conformance", "--ops", "x"][..],
+        &["verify", "--depth", "x"][..],
+        &["analyze", "--streams", "x"][..],
+        &["profile", "aes", "--variant", "nope"][..],
+        &["adapt", "campaign", "--fus", "x"][..],
+    ] {
+        let out = simulate(bad);
+        assert_eq!(out.status.code(), Some(2), "args {bad:?}: {out:?}");
+        assert!(!out.stderr.is_empty(), "args {bad:?}: the error is printed");
+    }
 }
 
 #[test]

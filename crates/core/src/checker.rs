@@ -207,19 +207,12 @@ impl CapChecker {
     /// still needs judging.
     ///
     /// The map is compiled to a [`VerdictBitmap`] here, once, so the
-    /// beat path tests a bit word instead of walking the map.
+    /// beat path tests a bit word instead of walking the map. This is the
+    /// only install path and it replaces map and bitmap together;
+    /// installing `StaticVerdictMap::new()` restores full checking.
     pub fn set_static_verdicts(&mut self, map: StaticVerdictMap) {
         self.verdict_bits = VerdictBitmap::build(&map);
         self.static_verdicts = Some(map);
-    }
-
-    /// Removes the verdict map (and its compiled bitmap); every beat is
-    /// checked again — the in-place equivalent of the rebuild that mode
-    /// switches and degradation perform. Dropping the map without
-    /// dropping the bitmap would keep eliding from a stale proof.
-    pub fn clear_static_verdicts(&mut self) {
-        self.static_verdicts = None;
-        self.verdict_bits = VerdictBitmap::new();
     }
 
     /// The installed verdict map, if any.
@@ -817,8 +810,8 @@ mod tests {
             DenyReason::BadProvenance
         );
 
-        // Clearing the map restores full checking.
-        c.clear_static_verdicts();
+        // Installing an empty map restores full checking.
+        c.set_static_verdicts(StaticVerdictMap::new());
         assert!(c.check(&ok).is_ok());
         assert_eq!(c.stats().elided, 1);
         assert_eq!(c.stats().granted, 2);
@@ -876,8 +869,9 @@ mod tests {
         c.set_static_verdicts(map);
         assert!(c.check(&read(1, 0x1000, 0)).is_ok());
         assert_eq!(c.corruption_detected(), 0);
-        // Dropping the map re-exposes the corruption as a fail-stop.
-        c.clear_static_verdicts();
+        // Replacing the map with an empty one re-exposes the corruption
+        // as a fail-stop.
+        c.set_static_verdicts(StaticVerdictMap::new());
         let denial = c.check(&read(1, 0x1000, 0)).unwrap_err();
         assert_eq!(denial.reason, DenyReason::InvalidTag);
         assert_eq!(c.corruption_detected(), 1);

@@ -139,12 +139,6 @@ impl SegmentVerdicts {
         self.map = Some(map);
     }
 
-    /// Drops the retained proof (the stream crossed a barrier the
-    /// retained segment does not cover).
-    pub fn clear(&mut self) {
-        self.map = None;
-    }
-
     /// The retained map, if any — what a re-install would install.
     #[must_use]
     pub fn retained(&self) -> Option<&StaticVerdictMap> {
@@ -325,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_ledger_retains_replaces_and_clears() {
+    fn segment_ledger_retains_and_replaces() {
         let mut ledger = SegmentVerdicts::new();
         assert!(ledger.retained().is_none());
         let mut first = StaticVerdictMap::new();
@@ -339,9 +333,6 @@ mod tests {
         ledger.record_reinstall();
         ledger.record_reinstall();
         assert_eq!(ledger.reinstalls(), 2);
-        ledger.clear();
-        assert!(ledger.retained().is_none());
-        assert_eq!(ledger.reinstalls(), 2, "history survives a clear");
     }
 
     #[test]

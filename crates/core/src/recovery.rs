@@ -14,7 +14,8 @@
 //! * [`run_campaign`] — a seeded fault campaign: every task draws an
 //!   injection decision from a [`FaultPlan`], runs under the full
 //!   recovery stack, and ends in exactly one [`Resolution`]. The same
-//!   seed produces a byte-identical [`CampaignReport`].
+//!   seed produces a byte-identical [`CampaignReport`]. Its driver loop
+//!   is the only one: the adaptive campaign runs it under another policy.
 //!
 //! The recovery state machine per task:
 //!
@@ -23,17 +24,20 @@
 //!              │
 //!              ├─► denied ──► clear + backoff ──► retry (≤ max_attempts)
 //!              │      │            └─ exhausted ─────► Denied (latched)
-//!              │      └─ InvalidTag on cached checker ► degrade → retry
+//!              │      └─ InvalidTag, reactive policy ─► degrade → retry
 //!              ├─► watchdog abort ──► count per engine
 //!              │      ├─ below threshold ─ backoff ──► retry
-//!              │      └─ at threshold ───────────────► Quarantined
+//!              │      └─ at threshold ─► Quarantined[Probation] (policy hook)
 //!              ├─► transient ──── backoff ───────────► retry
 //!              └─► forged tag found by post-run audit ► Denied (cleared)
 //! ```
 
+use crate::adapt::EpochLoop;
 use crate::config::CachedCheckerConfig;
 use crate::system::{DriverError, HeteroSystem, ProtectionChoice, SystemConfig, TaskRequest};
-use hetsim::fault::{is_engine_level, persists_across_retries, FaultPlan, FaultSpec, FaultyEngine};
+use hetsim::fault::{
+    is_engine_level, persists_across_retries, FaultPlan, FaultSpec, FaultyEngine, InjectedFault,
+};
 use hetsim::{Cycles, Denial, DenyReason, Engine, ExecFault, TaskId};
 use obs::json::JsonWriter;
 use obs::{EventKind, FaultKind, Registry, SharedTracer};
@@ -340,6 +344,20 @@ impl CampaignReport {
         m
     }
 
+    /// Tasks that ended in a clean completion (first try or retried).
+    #[must_use]
+    pub fn completed_tasks(&self) -> u64 {
+        self.records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.resolution,
+                    Resolution::Completed | Resolution::RetriedCompleted
+                )
+            })
+            .count() as u64
+    }
+
     /// Resolution counts by label, in stable order.
     #[must_use]
     pub fn resolution_counts(&self) -> BTreeMap<&'static str, u64> {
@@ -440,7 +458,7 @@ impl CampaignReport {
 /// The campaign workload: a small streaming kernel over the task's two
 /// buffers — enough memory operations that every injection window index
 /// lands on real traffic.
-pub(crate) fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
+fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
     for i in 0..16 {
         let x = eng.load_u32(0, i)?;
         eng.store_u32(1, i, x.wrapping_add(1))?;
@@ -453,7 +471,7 @@ pub(crate) fn synthetic_kernel(eng: &mut dyn Engine) -> Result<(), ExecFault> {
 /// capability tags and clears them. An accelerator cannot legitimately
 /// mint capabilities into its buffers, so any tag found there is forged
 /// (or a fault) and must not survive into the next tenant.
-pub(crate) fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u64, DriverError> {
+fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u64, DriverError> {
     let layout = sys.cpu_layout(task)?;
     let mut cleared = 0u64;
     for buf in &layout.buffers {
@@ -471,66 +489,53 @@ pub(crate) fn audit_task_tags(sys: &mut HeteroSystem, task: TaskId) -> Result<u6
     Ok(cleared)
 }
 
-/// Runs a seeded fault campaign and returns its deterministic report.
-///
-/// The system under test is a CHERI CPU with `config.protection` on the
-/// accelerator path (default: the cache-backed CapChecker, so the
-/// degradation path is reachable) and `config.fus` engines. Every
-/// task draws one injection decision, runs the synthetic kernel under
-/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
-/// driven to exactly one [`Resolution`] by the retry loop.
-///
-/// # Errors
-///
-/// Propagates driver platform errors ([`DriverError`]); protection
-/// denials, hangs, and transients are campaign *outcomes*, not errors.
-///
-/// # Panics
-///
-/// Panics only on simulator invariant violations (e.g. a task buffer
-/// outside physical memory), which would be bugs, not fault outcomes.
-pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverError> {
-    let policy = config.policy;
-    // The revocation sweep walks the live-capability index, so campaigns
-    // run at the default physical memory size — sweep cost no longer
-    // scales with it.
-    let mut sys = HeteroSystem::new(SystemConfig {
-        protection: config.protection,
-        ..SystemConfig::default()
-    });
-    sys.add_fus("accel", config.fus);
-    // Long campaigns generate events proportional to task count; the
-    // bounded buffer keeps memory flat while `recorded()` (below) keeps
-    // the report's event count independent of the cap.
-    let tracer = SharedTracer::with_capacity(64 * 1024);
-    sys.set_tracer(tracer.clone());
+/// What the driver does beyond retry, backoff and quarantine; the entry
+/// point picks the arm.
+pub(crate) enum Recovery<'a> {
+    /// [`run_campaign`]: an `InvalidTag` denial degrades the cached
+    /// checker inline, and a quarantine is permanent.
+    Reactive,
+    /// [`crate::adapt::run_adaptive_campaign`]: no inline degradation;
+    /// the controller's epoch loop decides degradation, re-promotion and
+    /// quarantine release.
+    Adaptive(&'a mut EpochLoop),
+}
 
-    let mut plan = FaultPlan::new(config.spec.clone(), config.seed);
-    let mut records = Vec::with_capacity(config.tasks as usize);
-    let mut fu_faults: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut degraded = false;
-    let mut degrade_detections = 0u64;
+/// The system under test plus the campaign-wide state that both recovery
+/// policies update.
+pub(crate) struct Driver<'s> {
+    pub(crate) sys: &'s mut HeteroSystem,
+    /// Watchdog aborts per functional unit (parole wipes the count).
+    pub(crate) fu_faults: BTreeMap<usize, u32>,
+    degraded: bool,
+    degrade_detections: u64,
+}
 
-    for index in 0..config.tasks {
-        let mut injected = plan.sample();
-        let req = TaskRequest::accel(format!("t{index}"), "accel")
-            .rw_buffers([config.buffer_bytes, config.buffer_bytes]);
-        let task = match sys.allocate_task(&req) {
-            Ok(t) => t,
-            Err(DriverError::NoFreeFu { .. }) => {
-                records.push(TaskRecord {
-                    index,
-                    injected: injected.map(|f| f.kind),
-                    attempts: 0,
-                    resolution: Resolution::Starved,
-                    denial: None,
-                    degraded: false,
-                    tags_cleared: 0,
-                });
-                continue;
-            }
-            Err(e) => return Err(e),
+impl Driver<'_> {
+    /// Degrades the cached checker to the fixed table, carrying its
+    /// checksum-failure count into the report. Returns whether there was
+    /// a cached checker to degrade.
+    pub(crate) fn degrade(&mut self) -> bool {
+        let Some((detections, _)) = self.sys.degrade_to_uncached() else {
+            return false;
         };
+        self.degrade_detections += detections;
+        self.degraded = true;
+        true
+    }
+
+    /// Drives one allocated task to exactly one [`Resolution`]: inject,
+    /// run under the retry loop, audit tags, deallocate.
+    fn run_task(
+        &mut self,
+        config: &CampaignConfig,
+        recovery: &mut Recovery<'_>,
+        index: u32,
+        task: TaskId,
+        mut injected: Option<InjectedFault>,
+    ) -> Result<TaskRecord, DriverError> {
+        let policy = config.policy;
+        let sys = &mut *self.sys;
         let fu = sys.task_fu(task)?.expect("campaign tasks are accel tasks");
 
         // Out-of-band injections happen before the run; a cache-corrupt
@@ -569,7 +574,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             let engine_fault = injected.filter(|f| {
                 is_engine_level(f.kind) && (attempts == 1 || persists_across_retries(f.kind))
             });
-            let run = sys.run_accel_task(task, |eng| {
+            let run = self.sys.run_accel_task(task, |eng| {
                 let mut wd = WatchdogEngine::new(eng, policy.watchdog_budget);
                 let mut fe = FaultyEngine::new(&mut wd, engine_fault);
                 synthetic_kernel(&mut fe)
@@ -584,78 +589,74 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
                 Err(e) => return Err(e),
             };
 
-            let mut schedule_retry = false;
-            match outcome {
+            // A failed attempt carries its cause: it is retried after a
+            // backoff, or once attempts run out, latched as the denial.
+            let failure = match outcome {
                 RecoveryOutcome::Completed => {
-                    denial_desc = None;
                     resolution = Some(if attempts > 1 {
                         Resolution::RetriedCompleted
                     } else {
                         Resolution::Completed
                     });
+                    None
                 }
                 RecoveryOutcome::Denied(d) => {
-                    denial_desc = Some(format!("{:?}", d.reason));
-                    // An integrity failure inside the checker cache is the
-                    // degradation trigger: swap to the uncached design and
-                    // retry under it.
-                    if d.reason == DenyReason::InvalidTag && sys.cached_checker().is_some() {
-                        if let Some((detections, _)) = sys.degrade_to_uncached() {
-                            degrade_detections += detections;
-                            task_degraded = true;
-                            degraded = true;
-                        }
+                    // Under the reactive policy an integrity failure inside
+                    // the checker cache is the degradation trigger: swap to
+                    // the uncached design and retry under it.
+                    if d.reason == DenyReason::InvalidTag && matches!(recovery, Recovery::Reactive)
+                    {
+                        task_degraded |= self.degrade();
                     }
-                    if attempts < policy.max_attempts {
-                        schedule_retry = true;
-                    } else {
-                        resolution = Some(Resolution::Denied);
-                    }
+                    Some(format!("{:?}", d.reason))
                 }
                 RecoveryOutcome::TimedOut { ops } => {
-                    sys.record(EventKind::WatchdogAbort { task: task.0, ops });
-                    let count = fu_faults.entry(fu).or_insert(0);
+                    self.sys
+                        .record(EventKind::WatchdogAbort { task: task.0, ops });
+                    let hung = format!("engine hung after {ops} ops");
+                    let count = self.fu_faults.entry(fu).or_insert(0);
                     *count += 1;
                     if *count >= policy.quarantine_threshold {
-                        let faults = *count;
-                        sys.quarantine_fu(fu, faults);
-                        denial_desc = Some(format!("engine hung after {ops} ops"));
-                        resolution = Some(Resolution::Quarantined);
-                    } else if attempts < policy.max_attempts {
-                        schedule_retry = true;
+                        self.sys.quarantine_fu(fu, *count);
+                        denial_desc = Some(hung);
+                        resolution = Some(match recovery {
+                            Recovery::Reactive => Resolution::Quarantined,
+                            Recovery::Adaptive(epochs) => epochs.on_quarantine(self.sys, fu),
+                        });
+                        None
                     } else {
-                        denial_desc = Some(format!("engine hung after {ops} ops"));
-                        resolution = Some(Resolution::Denied);
+                        Some(hung)
                     }
                 }
-                RecoveryOutcome::Transient(kind) => {
-                    if attempts < policy.max_attempts {
-                        schedule_retry = true;
-                    } else {
-                        denial_desc = Some(format!("transient fault: {kind}"));
-                        resolution = Some(Resolution::Denied);
-                    }
+                RecoveryOutcome::Transient(kind) => Some(format!("transient fault: {kind}")),
+            };
+            match failure {
+                Some(_) if attempts < policy.max_attempts => {
+                    let sys = &mut *self.sys;
+                    sys.clear_protection_exception();
+                    sys.clear_task_fault(task)?;
+                    let backoff = policy.backoff_after(attempts);
+                    sys.advance_clock(backoff);
+                    sys.record(EventKind::TaskRetry {
+                        task: task.0,
+                        attempt: attempts + 1,
+                        backoff,
+                    });
                 }
-            }
-            if schedule_retry {
-                sys.clear_protection_exception();
-                sys.clear_task_fault(task)?;
-                let backoff = policy.backoff_after(attempts);
-                sys.advance_clock(backoff);
-                sys.record(EventKind::TaskRetry {
-                    task: task.0,
-                    attempt: attempts + 1,
-                    backoff,
-                });
+                Some(cause) => {
+                    denial_desc = Some(cause);
+                    resolution = Some(Resolution::Denied);
+                }
+                None => {}
             }
         }
         let mut resolution = resolution.unwrap_or(Resolution::Denied);
 
         // The driver's tag audit runs on every task teardown: a forged
         // tag in a buffer must never survive to the next tenant.
-        let tags_cleared = audit_task_tags(&mut sys, task)?;
+        let tags_cleared = audit_task_tags(self.sys, task)?;
         if tags_cleared > 0 {
-            sys.record(EventKind::TagAudit {
+            self.sys.record(EventKind::TagAudit {
                 task: task.0,
                 cleared: tags_cleared,
             });
@@ -668,8 +669,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             }
         }
 
-        sys.deallocate_task(task)?;
-        records.push(TaskRecord {
+        self.sys.deallocate_task(task)?;
+        Ok(TaskRecord {
             index,
             injected: injected.map(|f| f.kind),
             attempts,
@@ -677,30 +678,118 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverErr
             denial: denial_desc,
             degraded: task_degraded,
             tags_cleared,
-        });
+        })
+    }
+}
+
+/// The campaign's system under test: a CHERI CPU with `config.protection`
+/// on the accelerator path and `config.fus` engines. The revocation sweep
+/// walks the live-capability index, so campaigns run at the default
+/// physical memory size — sweep cost no longer scales with it.
+pub(crate) fn campaign_system(config: &CampaignConfig) -> HeteroSystem {
+    let mut sys = HeteroSystem::new(SystemConfig {
+        protection: config.protection,
+        ..SystemConfig::default()
+    });
+    sys.add_fus("accel", config.fus);
+    sys
+}
+
+/// The one campaign driver behind [`run_campaign`] and
+/// [`crate::adapt::run_adaptive_campaign`]. The [`Recovery`] policy
+/// changes only its hooks: inline degradation, the resolution of a
+/// quarantine, and the epoch boundaries after each task and at the end.
+pub(crate) fn drive_campaign(
+    config: &CampaignConfig,
+    sys: &mut HeteroSystem,
+    mut recovery: Recovery<'_>,
+) -> Result<CampaignReport, DriverError> {
+    // Long campaigns generate events proportional to task count; the
+    // bounded buffer keeps memory flat while `recorded()` (below) keeps
+    // the report's event count independent of the cap.
+    let tracer = SharedTracer::with_capacity(64 * 1024);
+    sys.set_tracer(tracer.clone());
+
+    let mut plan = FaultPlan::new(config.spec.clone(), config.seed);
+    let mut records = Vec::with_capacity(config.tasks as usize);
+    let mut drv = Driver {
+        sys,
+        fu_faults: BTreeMap::new(),
+        degraded: false,
+        degrade_detections: 0,
+    };
+
+    for index in 0..config.tasks {
+        let injected = plan.sample();
+        let req = TaskRequest::accel(format!("t{index}"), "accel")
+            .rw_buffers([config.buffer_bytes, config.buffer_bytes]);
+        let record = match drv.sys.allocate_task(&req) {
+            Ok(task) => drv.run_task(config, &mut recovery, index, task, injected)?,
+            Err(DriverError::NoFreeFu { .. }) => TaskRecord {
+                index,
+                injected: injected.map(|f| f.kind),
+                attempts: 0,
+                resolution: Resolution::Starved,
+                denial: None,
+                degraded: false,
+                tags_cleared: 0,
+            },
+            Err(e) => return Err(e),
+        };
+        records.push(record);
+        if let Recovery::Adaptive(epochs) = &mut recovery {
+            epochs.after_task(&mut drv, index);
+        }
+    }
+    if let Recovery::Adaptive(epochs) = &mut recovery {
+        epochs.finish(&mut drv, config.tasks);
     }
 
+    let sys = &*drv.sys;
     let mut registry = Registry::new();
     sys.export_metrics(&mut registry);
     let snapshot = registry.snapshot();
     let denied_checks = snapshot.counter("checker.denied").unwrap_or(0)
         + snapshot.counter("cache.denied").unwrap_or(0);
     let corruption_detected =
-        degrade_detections + sys.cached_checker().map_or(0, |c| c.corruption_detected());
+        drv.degrade_detections + sys.cached_checker().map_or(0, |c| c.corruption_detected());
 
     Ok(CampaignReport {
         seed: config.seed,
         spec: config.spec.to_string(),
         tasks: config.tasks,
-        policy,
+        policy: config.policy,
         records,
-        degraded,
+        degraded: drv.degraded,
         quarantined_fus: sys.quarantined_fus() as u64,
         driver_cycles: sys.driver_clock(),
         denied_checks,
         corruption_detected,
         events: tracer.recorded(),
     })
+}
+
+/// Runs a seeded fault campaign under the reactive recovery policy and
+/// returns its deterministic report.
+///
+/// The system under test is a CHERI CPU with `config.protection` on the
+/// accelerator path (default: the cache-backed CapChecker, so the
+/// degradation path is reachable) and `config.fus` engines. Every
+/// task draws one injection decision, runs the synthetic kernel under
+/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
+/// driven to exactly one [`Resolution`] by the retry loop.
+///
+/// # Errors
+///
+/// Propagates driver platform errors ([`DriverError`]); protection
+/// denials, hangs, and transients are campaign *outcomes*, not errors.
+///
+/// # Panics
+///
+/// Panics only on simulator invariant violations (e.g. a task buffer
+/// outside physical memory), which would be bugs, not fault outcomes.
+pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, DriverError> {
+    drive_campaign(config, &mut campaign_system(config), Recovery::Reactive)
 }
 
 /// Runs a grid of fault campaigns on a scoped worker pool and returns the

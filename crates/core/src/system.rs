@@ -694,13 +694,6 @@ impl HeteroSystem {
         Some(safe_pairs)
     }
 
-    /// Drops the retained segment map (the workload crossed an analysis
-    /// barrier the retained proof does not cover). The checker's
-    /// installed copy is untouched; rebuilds clear that side.
-    pub fn clear_segment_verdicts(&mut self) {
-        self.segment_verdicts.clear();
-    }
-
     /// The epoch-scoped verdict ledger (retained map + re-install count).
     #[must_use]
     pub fn segment_verdicts(&self) -> &SegmentVerdicts {
@@ -2021,6 +2014,8 @@ mod tests {
         sys.set_tracer(tracer.clone());
         sys.add_fus("gemm", 1);
         let t = sys.allocate_task(&two_buffer_request()).unwrap();
+        // A fresh ledger has nothing to re-install.
+        assert_eq!(sys.reinstall_segment_verdicts(), None);
         let mut map = StaticVerdictMap::new();
         map.set(t, ObjectId(0), StaticVerdict::Safe);
         assert!(sys.retain_segment_verdicts(map));
@@ -2049,10 +2044,6 @@ mod tests {
             .filter(|e| e.kind == EventKind::SegmentVerdictsReinstalled { safe_pairs: 1 })
             .count();
         assert_eq!(reinstalls, 2);
-
-        // A cleared ledger has nothing to re-install.
-        sys.clear_segment_verdicts();
-        assert_eq!(sys.reinstall_segment_verdicts(), None);
     }
 
     #[test]

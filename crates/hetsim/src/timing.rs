@@ -1009,78 +1009,6 @@ pub fn simulate_accel_system_naive_prof(
     }
 }
 
-/// One fixed-width window of an accelerator-system run, as sampled for
-/// the adaptive controller's epoch loop: which beats the shared port
-/// moved in `[epoch * width, (epoch + 1) * width)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochMark {
-    /// Window index (0-based).
-    pub epoch: u32,
-    /// First cycle past the window (`(epoch + 1) * width`, except the
-    /// last mark, which ends at the makespan).
-    pub end_cycle: Cycles,
-    /// Interconnect beats granted inside the window.
-    pub bus_beats: u64,
-}
-
-/// Buckets every bus grant's beats by `cycle / width` — the epoch-boundary
-/// hook the adaptive controller samples between task groups.
-struct EpochTracer {
-    width: Cycles,
-    beats: Vec<u64>,
-}
-
-impl Tracer for EpochTracer {
-    fn record(&mut self, cycle: u64, kind: EventKind) {
-        if let EventKind::BusGrant { beats, .. } = kind {
-            let idx = (cycle / self.width) as usize;
-            if self.beats.len() <= idx {
-                self.beats.resize(idx + 1, 0);
-            }
-            self.beats[idx] += beats;
-        }
-    }
-}
-
-/// [`simulate_accel_system`] with the run cut into fixed-width epochs of
-/// `epoch_cycles`: returns the usual report plus one [`EpochMark`] per
-/// window up to the makespan. The marks partition the run — their
-/// `bus_beats` sum to the report's total — so a feedback controller can
-/// sample interconnect pressure at epoch boundaries without a second
-/// simulation. Timing is identical to the untraced entry point (same
-/// code path, the epoch tracer only observes).
-///
-/// # Panics
-///
-/// Panics when `epoch_cycles` is 0 — a zero-width epoch is meaningless.
-#[must_use]
-pub fn simulate_accel_system_epochs(
-    tasks: &[AccelTask<'_>],
-    bus: &BusConfig,
-    epoch_cycles: Cycles,
-) -> (AccelReport, Vec<EpochMark>) {
-    assert!(epoch_cycles > 0, "epochs must have a width");
-    let mut tracer = EpochTracer {
-        width: epoch_cycles,
-        beats: Vec::new(),
-    };
-    let report = simulate_accel_system_traced(tasks, bus, &mut tracer);
-    // Cover the whole makespan, even when the tail windows moved nothing.
-    let windows = (report.makespan.div_ceil(epoch_cycles) as usize).max(tracer.beats.len());
-    let marks = (0..windows)
-        .map(|i| EpochMark {
-            epoch: i as u32,
-            end_cycle: if i + 1 == windows {
-                report.makespan
-            } else {
-                (i as Cycles + 1) * epoch_cycles
-            },
-            bus_beats: tracer.beats.get(i).copied().unwrap_or(0),
-        })
-        .collect();
-    (report, marks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1554,35 +1482,6 @@ mod tests {
         assert_eq!(hists["accel.task_cycles"].count, tasks.len() as u64);
         assert!(hists["accel.req_wait"].count > 0);
         assert_eq!(hists["accel.req_beats"].sum, plain.bus_beats);
-    }
-
-    #[test]
-    fn epoch_marks_partition_the_run() {
-        let t = mem_heavy_trace();
-        let tasks: Vec<AccelTask<'_>> = (0..3u64)
-            .map(|i| AccelTask {
-                trace: &t,
-                cfg: AccelTimingConfig::default(),
-                start: i * 500,
-            })
-            .collect();
-        let bus = BusConfig::default().with_checker(2);
-        let plain = simulate_accel_system(&tasks, &bus);
-        let (report, marks) = simulate_accel_system_epochs(&tasks, &bus, 1_000);
-        assert_eq!(report, plain, "the epoch tracer only observes");
-        assert!(!marks.is_empty());
-        let total: u64 = marks.iter().map(|m| m.bus_beats).sum();
-        assert_eq!(total, report.bus_beats, "marks partition the beats");
-        // Windows are contiguous, indexed, and end at the makespan.
-        for (i, m) in marks.iter().enumerate() {
-            assert_eq!(m.epoch as usize, i);
-        }
-        assert_eq!(marks.last().unwrap().end_cycle, report.makespan);
-        for w in marks.windows(2) {
-            assert!(w[0].end_cycle <= w[1].end_cycle);
-        }
-        // A memory-bound system keeps the port busy early on.
-        assert!(marks[0].bus_beats > 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use capchecker::{
     run_adaptive_campaign, run_campaign, AdaptConfig, AdaptiveCampaignReport, CachedCheckerConfig,
-    CampaignConfig, CampaignReport, CheckerConfig, CheckerMode, ProtectionChoice, Resolution,
+    CampaignConfig, CheckerConfig, CheckerMode, ProtectionChoice, Resolution,
 };
 use hetsim::{FaultKind, FaultSpec};
 use std::collections::BTreeMap;
@@ -160,19 +160,6 @@ impl AdaptiveSurvival {
     }
 }
 
-fn completed_of(report: &CampaignReport) -> u64 {
-    report
-        .records
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.resolution,
-                Resolution::Completed | Resolution::RetriedCompleted
-            )
-        })
-        .count() as u64
-}
-
 /// The three static protection configurations the adaptive controller is
 /// raced against, in declaration order: the cached checker in each
 /// provenance mode, and the uncached fixed table.
@@ -218,7 +205,7 @@ pub fn adaptive_vs_static(spec: &FaultSpec, tasks: u32, seed: u64) -> AdaptiveSu
             let report = run_campaign(&config).expect("campaign must not wedge the driver");
             StaticArm {
                 label,
-                completed: completed_of(&report),
+                completed: report.completed_tasks(),
             }
         })
         .collect();
