@@ -9,7 +9,7 @@
 //!   **over-privileged**, and address ranges shared across tasks are
 //!   **port aliasing** (one task's writes reach another's compartment);
 //! * [`analyze_benchmark`] replays the kernel deterministically through
-//!   [`hetsim::DirectEngine`] and checks the observed traffic against
+//!   [`hetsim::KernelEngine`] and checks the observed traffic against
 //!   the declaration: every access inside the declared direction and the
 //!   placed buffer region proves the port **safe** to elide; anything
 //!   undeclared or out of region is a provable violation.
@@ -22,7 +22,7 @@
 use crate::Finding;
 use capchecker::{StaticVerdict, StaticVerdictMap};
 use cheri::Perms;
-use hetsim::{DirectEngine, ObjectId, TaggedMemory, TaskId, TraceOp};
+use hetsim::{KernelEngine, ObjectId, TaggedMemory, TaskId, TraceOp};
 use machsuite::{ports::ports, Benchmark, PortMode};
 
 /// Where [`analyze_benchmark`] places the task's buffers. Any base works —
@@ -205,7 +205,7 @@ pub fn audit_grants(bench: Benchmark, grants: &[StaticGrant]) -> Vec<Finding> {
 
 /// Replays `bench` deterministically and classifies every port.
 ///
-/// The replay is exact — [`DirectEngine`] records every transfer the
+/// The replay is exact — [`KernelEngine`] records every transfer the
 /// kernel makes — so an access outside the declared direction or the
 /// placed region is a proof, not a heuristic. Conversely a port whose
 /// whole envelope sits inside its declared, in-region contract is safe
@@ -222,7 +222,7 @@ pub fn analyze_benchmark(bench: Benchmark, seed: u64) -> BenchAnalysis {
     for (i, img) in bench.init(seed).iter().enumerate() {
         mem.write_bytes(layout.address(i, 0), img).unwrap();
     }
-    let mut eng = DirectEngine::new(&mut mem, layout.clone());
+    let mut eng = KernelEngine::new(&mut mem, layout.clone());
     bench.kernel(&mut eng).unwrap();
 
     let declared = ports(bench);

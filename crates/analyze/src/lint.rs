@@ -20,8 +20,8 @@
 //!   so anything folded from it must be re-ordered before use;
 //! * **`panic-in-hot-path`** — `.unwrap()`, `.expect(...)`, or `panic!`
 //!   in the per-access hot-path files (`crates/core/src/{checker,
-//!   cached,elide}.rs`, `crates/hetsim/src/timing.rs`) outside test
-//!   code, where a panic aborts the simulated machine instead of
+//!   store,elide}.rs`, `crates/hetsim/src/{engine,timing}.rs`) outside
+//!   test code, where a panic aborts the simulated machine instead of
 //!   reporting a fault through the exception path;
 //! * **`unsafe-audit`** — an `unsafe` token without a `// SAFETY:`
 //!   comment in the three lines above it. The workspace forbids `unsafe`
@@ -270,6 +270,7 @@ fn is_hot_path(file: &str) -> bool {
         "crates/core/src/checker.rs",
         "crates/core/src/store.rs",
         "crates/core/src/elide.rs",
+        "crates/hetsim/src/engine.rs",
         "crates/hetsim/src/timing.rs",
     ]
     .iter()

@@ -26,9 +26,14 @@ fn lint_fails_on_planted_fixture() {
             "planted fixture did not trip {expected}: {findings:#?}"
         );
     }
-    // Under a hot-path name — the check pipeline or the capability
-    // store it fetches from — the panic rule fires too.
-    for file in ["crates/core/src/checker.rs", "crates/core/src/store.rs"] {
+    // Under a hot-path name — the check pipeline, the capability store
+    // it fetches from, or the kernel engine every beat runs through —
+    // the panic rule fires too.
+    for file in [
+        "crates/core/src/checker.rs",
+        "crates/core/src/store.rs",
+        "crates/hetsim/src/engine.rs",
+    ] {
         let hot = lint_source(file, PLANTED);
         assert!(
             hot.iter().any(|f| f.rule == "panic-in-hot-path"),

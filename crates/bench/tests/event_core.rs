@@ -13,7 +13,7 @@ use hetsim::timing::{
     simulate_accel_system, simulate_accel_system_naive, AccelReport, AccelTask, AccelTimingConfig,
     BusConfig,
 };
-use hetsim::{BusFaultConfig, DirectEngine, TaggedMemory, Trace};
+use hetsim::{BusFaultConfig, KernelEngine, TaggedMemory, Trace};
 use machsuite::Benchmark;
 
 /// Executes one instance of `bench` functionally and returns its DMA trace.
@@ -24,7 +24,7 @@ fn kernel_trace(bench: Benchmark, seed: u64) -> Trace {
         mem.write_bytes(layout.address(obj, 0), image)
             .expect("init data fits its buffer");
     }
-    let mut eng = DirectEngine::new(&mut mem, layout);
+    let mut eng = KernelEngine::new(&mut mem, layout);
     bench.kernel(&mut eng).expect("benign kernel executes");
     eng.into_trace()
 }

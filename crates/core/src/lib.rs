@@ -59,7 +59,6 @@ pub mod attrib;
 pub mod checker;
 mod config;
 pub mod elide;
-mod engines;
 pub mod recovery;
 pub mod revoke;
 mod store;
@@ -75,7 +74,6 @@ pub use attrib::{CheckAttribution, CheckCounters};
 pub use checker::{CapChecker, CheckerStats};
 pub use config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 pub use elide::{SegmentVerdicts, StaticVerdict, StaticVerdictMap, VerdictBitmap};
-pub use engines::{CpuEngine, ProtectedEngine, Provenance};
 pub use recovery::{
     run_campaign, run_campaign_grid, CampaignConfig, CampaignReport, RecoveryOutcome,
     RecoveryPolicy, Resolution, TaskRecord, WatchdogEngine,

@@ -51,8 +51,8 @@ use std::fmt;
 /// budget, the watchdog cuts the engine off: in-flight compute is clamped
 /// to the remaining budget and the next memory operation aborts with
 /// [`ExecFault::Hung`]. Layer it *below* the fault injector and *above*
-/// the protected engine (`kernel → FaultyEngine → WatchdogEngine →
-/// ProtectedEngine`) so injected hang spins trip it while rogue traffic
+/// the kernel engine (`kernel → FaultyEngine → WatchdogEngine →
+/// KernelEngine`) so injected hang spins trip it while rogue traffic
 /// still reaches the protection path.
 pub struct WatchdogEngine<'e> {
     inner: &'e mut dyn Engine,
@@ -776,7 +776,7 @@ pub(crate) fn drive_campaign(
 /// accelerator path (default: the cache-backed CapChecker, so the
 /// degradation path is reachable) and `config.fus` engines. Every
 /// task draws one injection decision, runs the synthetic kernel under
-/// `kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`, and is
+/// `kernel → FaultyEngine → WatchdogEngine → KernelEngine`, and is
 /// driven to exactly one [`Resolution`] by the retry loop.
 ///
 /// # Errors

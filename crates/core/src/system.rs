@@ -21,15 +21,14 @@ use crate::alloc::{AllocError, HeapAllocator};
 use crate::checker::CapChecker;
 use crate::config::{CachedCheckerConfig, CheckerConfig, CheckerMode};
 use crate::elide::{SegmentVerdicts, StaticVerdictMap};
-use crate::engines::{CpuEngine, ProtectedEngine, Provenance};
 use cheri::{compressed, Capability, CapabilityTree, NodeId, ObjectKind, Perms};
 use hetsim::mmio::RegisterFile;
 use hetsim::{
-    Cycles, Denial, Engine, ExecFault, MasterId, ObjectId, TaggedMemory, TaskId, TaskLayout, Trace,
+    Access, AccessGuard, AccessKind, CpuCapGuard, Cycles, Denial, Engine, ExecFault, KernelEngine,
+    MasterId, ObjectId, TaggedMemory, TaskId, TaskLayout, Trace,
 };
 use ioprotect::{
-    GrantError, Granularity, IoProtection, Iommu, IommuConfig, Iopmp, IopmpConfig, NoProtection,
-    Snpu,
+    GrantError, IoProtection, Iommu, IommuConfig, Iopmp, IopmpConfig, NoProtection, Snpu,
 };
 use obs::{EventKind, FaultKind, Phase, Registry, SharedTracer, Tracer};
 use std::collections::BTreeMap;
@@ -466,30 +465,75 @@ impl fmt::Debug for Protection {
     }
 }
 
-/// Runs one kernel through a [`ProtectedEngine`] over the system's
-/// protection mechanism, returning the kernel's result, its first
-/// denial, and its trace.
-#[allow(clippy::too_many_arguments)]
-fn drive_kernel<F>(
-    mem: &mut TaggedMemory,
-    protection: &mut dyn IoProtection,
-    layout: TaskLayout,
+/// How the accelerator's memory interface exposes object identity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Provenance {
+    /// Per-object ports (or a mux that preserves an object identifier):
+    /// requests carry `ObjectId` metadata. Feeds the checker's Fine mode.
+    PerObjectPorts,
+    /// One opaque interface: requests carry no metadata. Any object
+    /// identity must be smuggled in the address bits (Coarse mode).
+    Opaque,
+}
+
+/// The accelerator's access guard: every kernel access crosses the
+/// interconnect as an [`Access`] from the task's FU and is vetted by the
+/// system's protection mechanism — one `vet` call per beat, kept virtual
+/// through `dyn IoProtection` because the monomorphized pipeline measured
+/// slower (DESIGN §3i). With a tracer attached, every request records a
+/// checker-check event, plus an exception event when refused, stamped
+/// with the request index (the functional path has no cycle clock).
+struct DeviceGuard<'a> {
+    protection: &'a mut dyn IoProtection,
     master: MasterId,
     task: TaskId,
     provenance: Provenance,
     tracer: Option<SharedTracer>,
-    kernel: F,
-) -> (Result<(), ExecFault>, Option<Denial>, Trace)
-where
-    F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
-{
-    let mut eng = ProtectedEngine::new(mem, protection, layout, master, task, provenance);
-    if let Some(t) = tracer {
-        eng = eng.with_tracer(t);
+    requests: u64,
+}
+
+impl AccessGuard for DeviceGuard<'_> {
+    #[inline]
+    fn vet(&mut self, obj: usize, addr: u64, len: u64, kind: AccessKind) -> Result<u64, Denial> {
+        let object = match self.provenance {
+            Provenance::PerObjectPorts => Some(ObjectId(obj as u16)),
+            Provenance::Opaque => None,
+        };
+        // One fused check+translate call per beat: the verdict, counters,
+        // and exception latching are exactly those of `check` followed by
+        // `translate`.
+        let verdict = self.protection.vet(&Access {
+            master: self.master,
+            task: self.task,
+            addr,
+            len,
+            kind,
+            object,
+        });
+        if let Some(tracer) = self.tracer.as_mut() {
+            let (at, task, object) = (self.requests, self.task.0, obj as u16);
+            let granted = verdict.is_ok();
+            tracer.record(
+                at,
+                EventKind::CheckerCheck {
+                    task,
+                    object,
+                    granted,
+                },
+            );
+            if !granted {
+                tracer.record(at, EventKind::CheckerException { task, object });
+            }
+        }
+        self.requests += 1;
+        verdict
     }
-    let result = kernel(&mut eng);
-    let denial = eng.first_denial();
-    (result, denial, eng.into_trace())
+}
+
+/// The accelerator-visible address of object `obj` at physical `base`:
+/// object-tagged under a Coarse checker (`coarse`), physical otherwise.
+fn visible_address(coarse: Option<CheckerConfig>, obj: usize, base: u64) -> u64 {
+    coarse.map_or(base, |cfg| cfg.coarse_tag_address(obj as u16, base))
 }
 
 /// The assembled heterogeneous system: memory, CPU, FUs, protection, and
@@ -728,12 +772,6 @@ impl HeteroSystem {
         self.protection.cap().map_or(0, |c| c.stats().elided)
     }
 
-    /// The protection mechanism on the accelerator path.
-    #[must_use]
-    pub fn protection(&self) -> &dyn IoProtection {
-        self.protection.as_dyn_ref()
-    }
-
     /// The capability provenance tree (Figure 4).
     #[must_use]
     pub fn tree(&self) -> &CapabilityTree {
@@ -789,11 +827,7 @@ impl HeteroSystem {
                     cap_sizes.push(padded_size);
                 }
                 None => {
-                    for (base, size) in padded {
-                        self.alloc
-                            .free(base, size)
-                            .expect("rollback frees blocks just allocated");
-                    }
+                    self.roll_back(None, &padded);
                     return Err(DriverError::OutOfMemory {
                         requested: spec.size,
                     });
@@ -855,53 +889,20 @@ impl HeteroSystem {
         // systems the driver really does stage each capability over the
         // capability interconnect's register map (Figure 6 ③).
         let mut setup_cycles = 0;
-        if fu.is_some() {
-            let install_cost = self.install_cycles();
-            let mut tracer = self.tracer.clone();
-            let mut clock = self.driver_clock;
-            for (i, cap) in install_caps.iter().enumerate() {
-                let result = self.protection.install(id, ObjectId(i as u16), cap);
-                clock = clock.saturating_add(install_cost + self.config.mmio_write_cycles);
-                if let Some(t) = tracer.as_mut() {
-                    t.record(
-                        clock,
-                        EventKind::MmioCapInstall {
-                            task: id.0,
-                            object: i as u16,
-                            ok: result.is_ok(),
-                        },
-                    );
-                    if matches!(result, Err(GrantError::TableFull)) {
-                        t.record(clock, EventKind::CheckerStall { task: id.0 });
-                    }
-                }
-                if let Err(e) = result {
-                    self.driver_clock = clock;
-                    self.protection.as_dyn().revoke_task(id);
-                    for (base, size) in padded {
-                        self.alloc
-                            .free(base, size)
-                            .expect("rollback frees blocks just allocated");
-                    }
-                    self.tree.revoke(task_node);
-                    return Err(DriverError::ProtectionTableFull(e));
-                }
-            }
-            setup_cycles += caps.len() as Cycles * install_cost;
-            // Control registers: one pointer per buffer plus start/config.
-            setup_cycles += (caps.len() as Cycles + 2) * self.config.mmio_write_cycles;
-        }
-        self.driver_clock = self.driver_clock.saturating_add(setup_cycles);
-
-        // Load the accelerator's base pointers into its control registers.
         if let Some(fu_idx) = fu {
+            self.import_device_caps(id, 0, &install_caps, task_node, &padded)?;
+            // Control registers: one pointer per buffer (written with its
+            // import) plus start/config.
+            self.advance_clock(2 * self.config.mmio_write_cycles);
+            let n = caps.len() as Cycles;
+            setup_cycles = n * self.install_cycles() + (n + 2) * self.config.mmio_write_cycles;
+            // Load the accelerator's base pointers into its control
+            // registers.
             let coarse = self.coarse_config();
             for (i, &(base, _)) in buffers.iter().enumerate() {
-                let visible = match coarse {
-                    Some(cfg) => cfg.coarse_tag_address(i as u16, base),
-                    None => base,
-                };
-                self.fus[fu_idx].regs.set(i, visible);
+                self.fus[fu_idx]
+                    .regs
+                    .set(i, visible_address(coarse, i, base));
             }
             self.fus[fu_idx].busy = Some(id);
         }
@@ -938,6 +939,58 @@ impl HeteroSystem {
         self.protection.cap().map_or(0, CapChecker::install_cycles)
     }
 
+    /// Imports `caps` into the device-side protection as `task`'s objects
+    /// `first..` (Figure 6 ③). Each import advances the driver clock by
+    /// its install cost plus one MMIO write and records an
+    /// `MmioCapInstall` event (and a `CheckerStall` on a full table). A
+    /// refusal rolls the allocation back: a new task's (`first == 0`)
+    /// partial import is evicted, `node` is revoked and `blocks` freed.
+    fn import_device_caps(
+        &mut self,
+        task: TaskId,
+        first: usize,
+        caps: &[Capability],
+        node: NodeId,
+        blocks: &[(u64, u64)],
+    ) -> Result<(), DriverError> {
+        let cost = self.install_cycles() + self.config.mmio_write_cycles;
+        for (i, cap) in caps.iter().enumerate() {
+            let object = (first + i) as u16;
+            let result = self.protection.install(task, ObjectId(object), cap);
+            self.advance_clock(cost);
+            let ok = result.is_ok();
+            self.record(EventKind::MmioCapInstall {
+                task: task.0,
+                object,
+                ok,
+            });
+            if let Err(e) = result {
+                if e == GrantError::TableFull {
+                    self.record(EventKind::CheckerStall { task: task.0 });
+                }
+                if first == 0 {
+                    self.protection.as_dyn().revoke_task(task);
+                }
+                self.roll_back(Some(node), blocks);
+                return Err(DriverError::ProtectionTableFull(e));
+            }
+        }
+        Ok(())
+    }
+
+    /// Undoes a failed allocation: revokes `node` (if derived) and
+    /// returns `blocks` to the heap.
+    fn roll_back(&mut self, node: Option<NodeId>, blocks: &[(u64, u64)]) {
+        if let Some(node) = node {
+            self.tree.revoke(node);
+        }
+        for &(base, size) in blocks {
+            self.alloc
+                .free(base, size)
+                .expect("rollback frees blocks just allocated");
+        }
+    }
+
     /// The accelerator-visible layout of a task's buffers (object-tagged
     /// base addresses in Coarse mode).
     ///
@@ -948,10 +1001,7 @@ impl HeteroSystem {
         let st = self.state(task)?;
         let coarse = self.coarse_config();
         Ok(TaskLayout::new(st.buffers.iter().enumerate().map(
-            |(i, &(base, size))| match coarse {
-                Some(cfg) => (cfg.coarse_tag_address(i as u16, base), size),
-                None => (base, size),
-            },
+            |(i, &(base, size))| (visible_address(coarse, i, base), size),
         )))
     }
 
@@ -962,6 +1012,34 @@ impl HeteroSystem {
     /// [`DriverError::UnknownTask`].
     pub fn cpu_layout(&self, task: TaskId) -> Result<TaskLayout, DriverError> {
         Ok(TaskLayout::new(self.state(task)?.buffers.iter().copied()))
+    }
+
+    /// The physical address of a host access of `len` bytes at `offset`
+    /// in `task`'s object `obj`: checked against the buffer's capability
+    /// on a CHERI CPU, against its size otherwise.
+    fn host_span(
+        &self,
+        task: TaskId,
+        obj: usize,
+        offset: u64,
+        len: usize,
+        needed: Perms,
+    ) -> Result<u64, DriverError> {
+        let st = self.state(task)?;
+        let &(base, size) = st
+            .buffers
+            .get(obj)
+            .ok_or(DriverError::HostAccessOutOfBounds)?;
+        let len = len as u64;
+        let addr = base.checked_add(offset);
+        let in_bounds = match addr {
+            Some(addr) if self.config.cheri_cpu => {
+                st.caps[obj].check_access(addr, len, needed).is_ok()
+            }
+            _ => offset.checked_add(len).is_some_and(|end| end <= size),
+        };
+        addr.filter(|_| in_bounds)
+            .ok_or(DriverError::HostAccessOutOfBounds)
     }
 
     /// Host-side buffer initialization (the CPU writes input data). On a
@@ -978,23 +1056,9 @@ impl HeteroSystem {
         offset: u64,
         data: &[u8],
     ) -> Result<(), DriverError> {
-        let st = self
-            .tasks
-            .get(&task)
-            .ok_or(DriverError::UnknownTask(task))?;
-        let &(base, size) = st
-            .buffers
-            .get(obj)
-            .ok_or(DriverError::HostAccessOutOfBounds)?;
-        if self.config.cheri_cpu {
-            st.caps[obj]
-                .check_access(base + offset, data.len() as u64, Perms::STORE)
-                .map_err(|_| DriverError::HostAccessOutOfBounds)?;
-        } else if offset + data.len() as u64 > size {
-            return Err(DriverError::HostAccessOutOfBounds);
-        }
+        let addr = self.host_span(task, obj, offset, data.len(), Perms::STORE)?;
         self.mem
-            .write_bytes(base + offset, data)
+            .write_bytes(addr, data)
             .map_err(|_| DriverError::HostAccessOutOfBounds)
     }
 
@@ -1010,20 +1074,9 @@ impl HeteroSystem {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), DriverError> {
-        let st = self.state(task)?;
-        let &(base, size) = st
-            .buffers
-            .get(obj)
-            .ok_or(DriverError::HostAccessOutOfBounds)?;
-        if self.config.cheri_cpu {
-            st.caps[obj]
-                .check_access(base + offset, out.len() as u64, Perms::LOAD)
-                .map_err(|_| DriverError::HostAccessOutOfBounds)?;
-        } else if offset + out.len() as u64 > size {
-            return Err(DriverError::HostAccessOutOfBounds);
-        }
+        let addr = self.host_span(task, obj, offset, out.len(), Perms::LOAD)?;
         self.mem
-            .read_bytes(base + offset, out)
+            .read_bytes(addr, out)
             .map_err(|_| DriverError::HostAccessOutOfBounds)
     }
 
@@ -1034,40 +1087,87 @@ impl HeteroSystem {
     /// # Errors
     ///
     /// [`DriverError::NotAnAcceleratorTask`] for CPU tasks,
-    /// [`DriverError::UnknownTask`] for dead handles. Protection denials
-    /// are *not* errors here: they are recorded in the returned
+    /// [`DriverError::UnknownTask`] for dead handles, and the platform
+    /// faults of [`HeteroSystem::run_cpu_task`]. Protection denials are
+    /// *not* errors here: they are recorded in the returned
     /// [`TaskOutcome`].
     pub fn run_accel_task<F>(&mut self, task: TaskId, kernel: F) -> Result<TaskOutcome, DriverError>
     where
         F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
     {
-        let st = self
-            .tasks
-            .get(&task)
-            .ok_or(DriverError::UnknownTask(task))?;
-        let fu = st.fu.ok_or(DriverError::NotAnAcceleratorTask(task))?;
-        let layout = self.accel_layout(task)?;
+        self.run_task(task, true, kernel)
+    }
+
+    /// Runs `kernel` on the CPU (the `cpu`/`ccpu` configurations). On a
+    /// CHERI CPU the task's own capabilities check every access, and a
+    /// denial latches as the task's exception.
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::UnknownTask`] for dead handles;
+    /// [`DriverError::Platform`] when an access leaves physical memory,
+    /// [`DriverError::WatchdogTimeout`] or [`DriverError::TransientFault`]
+    /// when the engine hung or a transfer faulted.
+    pub fn run_cpu_task<F>(&mut self, task: TaskId, kernel: F) -> Result<TaskOutcome, DriverError>
+    where
+        F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
+    {
+        self.run_task(task, false, kernel)
+    }
+
+    /// Figure 6's execution step on either side: runs `kernel` through
+    /// the kernel engine under the device guard on the task's FU
+    /// (`accel`) or the CPU's own capabilities (none on a plain CPU),
+    /// latches the first denial as the task's exception, and keeps the
+    /// trace.
+    fn run_task<F>(
+        &mut self,
+        task: TaskId,
+        accel: bool,
+        kernel: F,
+    ) -> Result<TaskOutcome, DriverError>
+    where
+        F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
+    {
+        let st = self.state(task)?;
+        let fu = match st.fu {
+            Some(fu) if accel => Some(fu),
+            None if accel => return Err(DriverError::NotAnAcceleratorTask(task)),
+            _ => None,
+        };
+        let caps = (!accel && self.config.cheri_cpu).then(|| st.caps.clone());
+        let layout = if accel {
+            self.accel_layout(task)?
+        } else {
+            self.cpu_layout(task)?
+        };
         let provenance = if self.coarse_config().is_some() {
             Provenance::Opaque
         } else {
             Provenance::PerObjectPorts
         };
-        let master = MasterId(fu as u16 + 1);
         self.record(EventKind::DriverPhase {
             task: task.0,
             phase: Phase::Execute,
         });
-        let tracer = self.tracer.clone();
-        let (result, denial, trace) = drive_kernel(
-            &mut self.mem,
-            self.protection.as_dyn(),
-            layout,
-            master,
-            task,
-            provenance,
-            tracer,
-            kernel,
-        );
+        let mem = &mut self.mem;
+        let (result, denial, trace) = match (fu, caps) {
+            (Some(fu), _) => {
+                let guard = DeviceGuard {
+                    protection: self.protection.as_dyn(),
+                    master: MasterId(fu as u16 + 1),
+                    task,
+                    provenance,
+                    tracer: self.tracer.clone(),
+                    requests: 0,
+                };
+                KernelEngine::guarded(mem, layout, guard).run(kernel)
+            }
+            (None, Some(caps)) => {
+                KernelEngine::guarded(mem, layout, CpuCapGuard::new(caps, task)).run(kernel)
+            }
+            (None, None) => KernelEngine::new(mem, layout).run(kernel),
+        };
         let st = self.tasks.get_mut(&task).expect("state verified above");
         st.trace = Some(trace);
         if let Some(d) = denial {
@@ -1078,42 +1178,6 @@ impl HeteroSystem {
             Err(ExecFault::Mem(e)) => Err(DriverError::Platform(e)),
             Err(ExecFault::Hung { ops }) => Err(DriverError::WatchdogTimeout { task, ops }),
             Err(ExecFault::Transient { kind }) => Err(DriverError::TransientFault(kind)),
-        }
-    }
-
-    /// Runs `kernel` on the CPU (the `cpu`/`ccpu` configurations).
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::UnknownTask`] for dead handles.
-    pub fn run_cpu_task<F>(&mut self, task: TaskId, kernel: F) -> Result<TaskOutcome, DriverError>
-    where
-        F: FnOnce(&mut dyn Engine) -> Result<(), ExecFault>,
-    {
-        let layout = self.cpu_layout(task)?;
-        self.record(EventKind::DriverPhase {
-            task: task.0,
-            phase: Phase::Execute,
-        });
-        let st = self
-            .tasks
-            .get(&task)
-            .ok_or(DriverError::UnknownTask(task))?;
-        let caps = self.config.cheri_cpu.then(|| st.caps.clone());
-        let mut eng = CpuEngine::new(&mut self.mem, layout, caps, task);
-        let result = kernel(&mut eng);
-        let trace = eng.into_trace();
-        let st = self.tasks.get_mut(&task).expect("state verified above");
-        st.trace = Some(trace);
-        match result {
-            Ok(()) => Ok(TaskOutcome { denial: None }),
-            Err(ExecFault::Denied(d)) => {
-                st.fault = Some(d);
-                Ok(TaskOutcome { denial: Some(d) })
-            }
-            Err(ExecFault::Mem(_) | ExecFault::Hung { .. } | ExecFault::Transient { .. }) => {
-                Ok(TaskOutcome { denial: None })
-            }
         }
     }
 
@@ -1265,9 +1329,8 @@ impl HeteroSystem {
         task: TaskId,
         spec: BufferSpec,
     ) -> Result<usize, DriverError> {
-        if !self.tasks.contains_key(&task) {
-            return Err(DriverError::UnknownTask(task));
-        }
+        let st = self.state(task)?;
+        let (name, obj, fu) = (st.name.clone(), st.buffers.len(), st.fu);
         let (align, padded_size) = representable_block(spec.size);
         let reserve = padded_size + self.config.guard_bytes;
         let base = self
@@ -1276,61 +1339,33 @@ impl HeteroSystem {
             .ok_or(DriverError::OutOfMemory {
                 requested: spec.size,
             })?;
+        let block = [(base, reserve)];
         // Dynamic buffers derive from the heap authority (the root), like
         // malloc on a CHERI CPU: the allocator's capability, narrowed.
-        let st_name = self.tasks[&task].name.clone();
-        let obj = self.tasks[&task].buffers.len();
         let node = match self.tree.derive(
             self.tree.root(),
             ObjectKind::Buffer,
-            format!("{st_name}:dyn{obj}"),
+            format!("{name}:dyn{obj}"),
             |c| c.set_bounds_exact(base, padded_size)?.and_perms(spec.perms),
         ) {
             Ok(n) => n,
             Err(e) => {
-                self.alloc
-                    .free(base, reserve)
-                    .expect("rollback frees the block just allocated");
+                self.roll_back(None, &block);
                 return Err(DriverError::Capability(e));
             }
         };
         let cap = *self.tree.capability(node);
-        let device_cap = match spec.device_perms {
-            Some(device) => match cap.and_perms(device) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.tree.revoke(node);
-                    self.alloc
-                        .free(base, reserve)
-                        .expect("rollback frees the block just allocated");
-                    return Err(DriverError::Capability(e));
-                }
-            },
+        let device_cap = match spec.device_perms.map(|device| cap.and_perms(device)) {
             None => cap,
+            Some(Ok(c)) => c,
+            Some(Err(e)) => {
+                self.roll_back(Some(node), &block);
+                return Err(DriverError::Capability(e));
+            }
         };
         let install = self.install_cycles();
-        if self.tasks[&task].fu.is_some() {
-            let result = self
-                .protection
-                .install(task, ObjectId(obj as u16), &device_cap);
-            self.driver_clock = self
-                .driver_clock
-                .saturating_add(install + self.config.mmio_write_cycles);
-            self.record(EventKind::MmioCapInstall {
-                task: task.0,
-                object: obj as u16,
-                ok: result.is_ok(),
-            });
-            if matches!(result, Err(GrantError::TableFull)) {
-                self.record(EventKind::CheckerStall { task: task.0 });
-            }
-            if let Err(e) = result {
-                self.tree.revoke(node);
-                self.alloc
-                    .free(base, reserve)
-                    .expect("rollback frees the block just allocated");
-                return Err(DriverError::ProtectionTableFull(e));
-            }
+        if fu.is_some() {
+            self.import_device_caps(task, obj, &[device_cap], node, &block)?;
         }
         let coarse = self.coarse_config();
         let st = self.tasks.get_mut(&task).expect("existence checked above");
@@ -1340,12 +1375,10 @@ impl HeteroSystem {
         st.device_caps.push(device_cap);
         st.dynamic_nodes.push(node);
         st.setup_cycles += self.config.mmio_write_cycles + install;
-        if let Some(fu_idx) = st.fu {
-            let visible = match coarse {
-                Some(cfg) => cfg.coarse_tag_address(obj as u16, base),
-                None => base,
-            };
-            self.fus[fu_idx].regs.set(obj, visible);
+        if let Some(fu_idx) = fu {
+            self.fus[fu_idx]
+                .regs
+                .set(obj, visible_address(coarse, obj, base));
         }
         Ok(obj)
     }
@@ -1365,12 +1398,6 @@ impl HeteroSystem {
     #[must_use]
     pub fn protection_entries(&self) -> usize {
         self.protection.as_dyn_ref().entries_in_use()
-    }
-
-    /// The protection granularity of this system's accelerator path.
-    #[must_use]
-    pub fn protection_granularity(&self) -> Granularity {
-        self.protection.as_dyn_ref().granularity()
     }
 
     /// Exports the system's counters into a metrics registry: checker
@@ -1560,11 +1587,9 @@ impl HeteroSystem {
         for st in self.tasks.values() {
             let Some(fu_idx) = st.fu else { continue };
             for (i, &(base, _)) in st.buffers.iter().enumerate() {
-                let visible = match coarse {
-                    Some(cfg) => cfg.coarse_tag_address(i as u16, base),
-                    None => base,
-                };
-                self.fus[fu_idx].regs.set(i, visible);
+                self.fus[fu_idx]
+                    .regs
+                    .set(i, visible_address(coarse, i, base));
                 self.driver_clock = self
                     .driver_clock
                     .saturating_add(self.config.mmio_write_cycles);
@@ -1669,6 +1694,37 @@ mod tests {
         assert!(sys.write_buffer(t, 0, 0, &[1; 256]).is_ok());
         let err = sys.write_buffer(t, 0, 255, &[1, 2]).unwrap_err();
         assert!(matches!(err, DriverError::HostAccessOutOfBounds));
+    }
+
+    #[test]
+    fn host_accesses_reject_wrapping_offsets() {
+        // An offset that wraps the address space lands just below the
+        // buffer; both CPUs must refuse it instead of writing there.
+        for variant in [SystemVariant::Cpu, SystemVariant::CheriCpu] {
+            let mut sys = HeteroSystem::new(variant.config());
+            let t = sys
+                .allocate_task(&TaskRequest::cpu("host").rw_buffers([64, 64]))
+                .unwrap();
+            for offset in [u64::MAX - 1, u64::MAX] {
+                let err = sys.write_buffer(t, 1, offset, &[1; 4]).unwrap_err();
+                assert!(
+                    matches!(err, DriverError::HostAccessOutOfBounds),
+                    "{variant}"
+                );
+                let mut out = [0u8; 4];
+                let err = sys.read_buffer(t, 1, offset, &mut out).unwrap_err();
+                assert!(
+                    matches!(err, DriverError::HostAccessOutOfBounds),
+                    "{variant}"
+                );
+            }
+            assert_eq!(
+                sys.memory()
+                    .read_uint(sys.cpu_layout(t).unwrap().buffers[1].base - 2, 4)
+                    .unwrap(),
+                0
+            );
+        }
     }
 
     #[test]
@@ -2077,5 +2133,200 @@ mod tests {
             .unwrap();
         assert!(out.completed());
         assert!(sys.protection_entries() >= 1);
+    }
+
+    #[test]
+    fn platform_faults_are_errors_on_both_sides() {
+        use hetsim::MemError;
+        // A kernel access that leaves physical memory, a hung engine, or
+        // a transient transfer fault is a platform fault on the CPU and on
+        // the accelerator alike, never a completion.
+        type Kernel = fn(&mut dyn Engine) -> Result<(), ExecFault>;
+        let faults: [(Kernel, &str); 3] = [
+            (|eng| eng.load_u32(0, 1 << 40).map(|_| ()), "platform"),
+            (|_| Err(ExecFault::Hung { ops: 7 }), "watchdog"),
+            (
+                |_| {
+                    Err(ExecFault::Transient {
+                        kind: FaultKind::BusStall,
+                    })
+                },
+                "transient",
+            ),
+        ];
+        for variant in [SystemVariant::Cpu, SystemVariant::CpuAccel] {
+            for (kernel, expected) in faults {
+                let mut sys = HeteroSystem::new(variant.config());
+                sys.add_fus("k", 1);
+                let req = if variant.uses_accelerator() {
+                    TaskRequest::accel("t", "k")
+                } else {
+                    TaskRequest::cpu("t")
+                };
+                let t = sys.allocate_task(&req.rw_buffers([64])).unwrap();
+                let out = if variant.uses_accelerator() {
+                    sys.run_accel_task(t, kernel)
+                } else {
+                    sys.run_cpu_task(t, kernel)
+                };
+                let got = match out {
+                    Err(DriverError::Platform(MemError::OutOfRange { .. })) => "platform",
+                    Err(DriverError::WatchdogTimeout { task, ops: 7 }) if task == t => "watchdog",
+                    Err(DriverError::TransientFault(FaultKind::BusStall)) => "transient",
+                    _ => "other",
+                };
+                assert_eq!(got, expected, "{variant}: {out:?}");
+                assert!(sys.trace(t).unwrap().is_some(), "{variant}: trace kept");
+            }
+        }
+    }
+
+    fn rw_cap(base: u64, len: u64) -> Capability {
+        Capability::root()
+            .set_bounds(base, len)
+            .unwrap()
+            .and_perms(Perms::RW)
+            .unwrap()
+    }
+
+    fn device_guard(checker: &mut CapChecker, provenance: Provenance) -> DeviceGuard<'_> {
+        DeviceGuard {
+            protection: checker,
+            master: MasterId(1),
+            task: TaskId(1),
+            provenance,
+            tracer: None,
+            requests: 0,
+        }
+    }
+
+    #[test]
+    fn device_guard_grants_in_bounds_and_blocks_overflow() {
+        let mut mem = TaggedMemory::new(1 << 16);
+        let mut checker = CapChecker::new(CheckerConfig::fine());
+        checker
+            .grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        let guard = device_guard(&mut checker, Provenance::PerObjectPorts);
+        let mut eng = KernelEngine::guarded(&mut mem, TaskLayout::new([(0x1000, 64)]), guard);
+        eng.store_u32(0, 0, 0x55).unwrap();
+        assert_eq!(eng.load_u32(0, 0).unwrap(), 0x55);
+        let err = eng.load_u32(0, 16); // offset 64: one past the end
+        assert!(matches!(err, Err(ExecFault::Denied(_))));
+        assert!(eng.first_denial().is_some());
+    }
+
+    #[test]
+    fn coarse_layout_reaches_memory_through_translation() {
+        let cfg = CheckerConfig::coarse();
+        let mut mem = TaggedMemory::new(1 << 16);
+        let mut checker = CapChecker::new(cfg);
+        checker
+            .grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        // The driver loads object-tagged base pointers.
+        let layout = TaskLayout::new([(visible_address(Some(cfg), 0, 0x1000), 64)]);
+        let guard = device_guard(&mut checker, Provenance::Opaque);
+        let mut eng = KernelEngine::guarded(&mut mem, layout, guard);
+        eng.store_u32(0, 3, 0xabcd).unwrap();
+        assert_eq!(eng.load_u32(0, 3).unwrap(), 0xabcd);
+        drop(eng);
+        // The data really landed at the physical address.
+        assert_eq!(mem.read_uint(0x1000 + 12, 4).unwrap(), 0xabcd);
+    }
+
+    #[test]
+    fn granted_dma_write_still_clears_tags() {
+        let mut mem = TaggedMemory::new(1 << 16);
+        mem.write_capability(0x1000, Capability::root().compress(), true)
+            .unwrap();
+        let mut checker = CapChecker::new(CheckerConfig::fine());
+        checker
+            .grant(TaskId(1), ObjectId(0), &rw_cap(0x1000, 64))
+            .unwrap();
+        let guard = device_guard(&mut checker, Provenance::PerObjectPorts);
+        let mut eng = KernelEngine::guarded(&mut mem, TaskLayout::new([(0x1000, 64)]), guard);
+        eng.store_u8(0, 0, 0xff).unwrap();
+        drop(eng);
+        assert!(
+            !mem.tag(0x1000),
+            "accelerator writes must strip capability tags"
+        );
+    }
+
+    #[test]
+    fn device_guard_traces_every_request_and_each_denial() {
+        let mut sys = fine_system();
+        let tracer = SharedTracer::new();
+        sys.set_tracer(tracer.clone());
+        let t = sys.allocate_task(&two_buffer_request()).unwrap();
+        let out = sys
+            .run_accel_task(t, |eng| {
+                eng.store_u32(1, 0, 1)?;
+                eng.load_u32(1, 4096).map(|_| ())
+            })
+            .unwrap();
+        assert!(!out.completed());
+        let events = tracer.snapshot();
+        let requests: Vec<_> = events
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::CheckerCheck { .. } | EventKind::CheckerException { .. }
+                )
+            })
+            .map(|e| (e.cycle, e.kind))
+            .collect();
+        let (task, object) = (t.0, 1);
+        assert_eq!(
+            requests,
+            [
+                (
+                    0,
+                    EventKind::CheckerCheck {
+                        task,
+                        object,
+                        granted: true
+                    }
+                ),
+                (
+                    1,
+                    EventKind::CheckerCheck {
+                        task,
+                        object,
+                        granted: false
+                    }
+                ),
+                (1, EventKind::CheckerException { task, object }),
+            ]
+        );
+    }
+
+    #[test]
+    fn fu_registers_hold_the_accelerator_visible_layout() {
+        let mut sys = HeteroSystem::new(SystemConfig {
+            protection: ProtectionChoice::CapChecker(CheckerConfig::coarse()),
+            ..SystemConfig::default()
+        });
+        sys.add_fus("gemm", 1);
+        let t = sys.allocate_task(&two_buffer_request()).unwrap();
+        let registers_match = |sys: &HeteroSystem, stage: &str| {
+            let fu = sys.task_fu(t).unwrap().unwrap();
+            let layout = sys.accel_layout(t).unwrap();
+            for (i, region) in layout.buffers.iter().enumerate() {
+                assert_eq!(sys.fus[fu].regs.get(i), region.base, "{stage}: obj {i}");
+            }
+            layout.buffers.len()
+        };
+        assert_eq!(registers_match(&sys, "allocate"), 2);
+        sys.allocate_buffer(t, BufferSpec::rw(64)).unwrap();
+        assert_eq!(registers_match(&sys, "grow"), 3);
+        sys.set_checker_mode(CheckerMode::Fine).unwrap();
+        registers_match(&sys, "to fine");
+        sys.set_checker_mode(CheckerMode::Coarse).unwrap();
+        registers_match(&sys, "to coarse");
+        assert_eq!(sys.accel_layout(t).unwrap().buffers[2].base >> 56, 2);
     }
 }

@@ -228,8 +228,8 @@ impl FaultPlan {
 /// kernel's own traffic.
 ///
 /// Layering matters: the injected traffic flows *down* through whatever
-/// this wrapper wraps. Stack a watchdog below it and above the protected
-/// engine (`kernel → FaultyEngine → WatchdogEngine → ProtectedEngine`) so
+/// this wrapper wraps. Stack a watchdog below it and above the kernel
+/// engine (`kernel → FaultyEngine → WatchdogEngine → KernelEngine`) so
 /// hang/stall spins trip the watchdog and rogue stores hit the protection
 /// path. Without a watchdog below, a hang spin records its compute burst
 /// and execution simply continues — a hang in a system with no watchdog
@@ -350,7 +350,7 @@ impl Engine for FaultyEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DirectEngine, TaskLayout};
+    use crate::engine::{KernelEngine, TaskLayout};
     use crate::memory::TaggedMemory;
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn rogue_dma_fires_an_out_of_bounds_store() {
         let mut mem = TaggedMemory::new(4096);
-        let mut inner = DirectEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
+        let mut inner = KernelEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
         let fault = InjectedFault {
             kind: FaultKind::RogueDma,
             at_op: 2,
@@ -420,7 +420,7 @@ mod tests {
     fn garbled_dma_corrupts_exactly_one_op() {
         let mut mem = TaggedMemory::new(4096);
         mem.write_bytes(0x100, &[7; 64]).unwrap();
-        let mut inner = DirectEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
+        let mut inner = KernelEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
         let fault = InjectedFault {
             kind: FaultKind::GarbledDma,
             at_op: 0,
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn dropped_beat_is_a_transient_abort() {
         let mut mem = TaggedMemory::new(4096);
-        let mut inner = DirectEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
+        let mut inner = KernelEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
         let fault = InjectedFault {
             kind: FaultKind::DroppedBeat,
             at_op: 0,
@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn hang_without_watchdog_spins_then_continues() {
         let mut mem = TaggedMemory::new(4096);
-        let mut inner = DirectEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
+        let mut inner = KernelEngine::new(&mut mem, TaskLayout::new([(0x100, 64)]));
         let fault = InjectedFault {
             kind: FaultKind::EngineHang,
             at_op: 0,

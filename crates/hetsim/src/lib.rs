@@ -15,13 +15,13 @@
 //! Running a tiny kernel functionally and costing it on two targets:
 //!
 //! ```
-//! use hetsim::{DirectEngine, Engine, TaggedMemory, TaskLayout};
+//! use hetsim::{Engine, KernelEngine, TaggedMemory, TaskLayout};
 //! use hetsim::timing::{simulate_cpu, simulate_accel_system, AccelTask,
 //!                      AccelTimingConfig, BusConfig, CpuTiming};
 //!
 //! # fn main() -> Result<(), hetsim::ExecFault> {
 //! let mut mem = TaggedMemory::new(4096);
-//! let mut eng = DirectEngine::new(&mut mem, TaskLayout::new([(0x100, 256)]));
+//! let mut eng = KernelEngine::new(&mut mem, TaskLayout::new([(0x100, 256)]));
 //! for i in 0..32 {
 //!     eng.store_u32(0, i, i as u32)?;
 //!     eng.compute(4);
@@ -52,7 +52,9 @@ mod trace;
 pub mod validate;
 
 pub use bus::{Access, AccessKind, BusFaultConfig, Denial, DenyReason};
-pub use engine::{BufferRegion, DirectEngine, Engine, ExecFault, TaskLayout};
+pub use engine::{
+    AccessGuard, BufferRegion, CpuCapGuard, Engine, ExecFault, KernelEngine, TaskLayout, Unchecked,
+};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultyEngine, InjectedFault};
 pub use ids::{Cycles, FuId, MasterId, ObjectId, TaskId};
 pub use memory::{MemError, TaggedMemory};

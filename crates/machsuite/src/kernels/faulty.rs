@@ -162,7 +162,7 @@ fn spmv_wild_column(eng: &mut dyn Engine) -> Result<(), ExecFault> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{DirectEngine, TaggedMemory};
+    use hetsim::{KernelEngine, TaggedMemory};
 
     #[test]
     fn faulty_kernels_run_silently_on_unprotected_memory() {
@@ -176,7 +176,7 @@ mod tests {
             for (i, img) in bench.init(1).iter().enumerate() {
                 mem.write_bytes(layout.buffers[i].base, img).unwrap();
             }
-            let mut eng = DirectEngine::new(&mut mem, layout);
+            let mut eng = KernelEngine::new(&mut mem, layout);
             fault
                 .kernel(&mut eng)
                 .unwrap_or_else(|e| panic!("{fault:?} should run unprotected: {e}"));

@@ -36,7 +36,7 @@ mod stencil;
 mod viterbi;
 
 use crate::Benchmark;
-use hetsim::{DirectEngine, Engine, ExecFault, TaggedMemory};
+use hetsim::{Engine, ExecFault, KernelEngine, TaggedMemory};
 
 /// Deterministic initial buffer contents for `bench`.
 #[must_use]
@@ -116,8 +116,9 @@ pub fn reference(bench: Benchmark, bufs: &mut [Vec<u8>]) {
     }
 }
 
-/// Runs the kernel through a [`DirectEngine`] over fresh memory and
-/// compares every output buffer byte-for-byte against the reference.
+/// Runs the kernel through an unchecked [`KernelEngine`] over fresh
+/// memory and compares every output buffer byte-for-byte against the
+/// reference.
 ///
 /// Returns the recorded trace on success.
 ///
@@ -150,7 +151,7 @@ pub fn check_against_reference(bench: Benchmark, seed: u64) -> Result<hetsim::Tr
             .expect("placement fits memory");
     }
 
-    let mut eng = DirectEngine::new(&mut mem, layout.clone());
+    let mut eng = KernelEngine::new(&mut mem, layout.clone());
     run(bench, &mut eng).map_err(|e| format!("{bench}: kernel fault: {e}"))?;
     let trace = eng.into_trace();
 

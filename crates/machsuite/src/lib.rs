@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use machsuite::Benchmark;
-//! use hetsim::{DirectEngine, TaggedMemory};
+//! use hetsim::{KernelEngine, TaggedMemory};
 //!
 //! # fn main() -> Result<(), hetsim::ExecFault> {
 //! let bench = Benchmark::GemmNcubed;
@@ -34,7 +34,7 @@
 //! for (i, data) in bench.init(42).iter().enumerate() {
 //!     mem.write_bytes(layout.buffers[i].base, data).unwrap();
 //! }
-//! let mut eng = DirectEngine::new(&mut mem, layout);
+//! let mut eng = KernelEngine::new(&mut mem, layout);
 //! bench.kernel(&mut eng)?;
 //! # Ok(())
 //! # }

@@ -10,7 +10,7 @@
 //! any particular input, so a seed that happens not to exercise a
 //! direction never shrinks the contract.
 //!
-//! A test replays every kernel through [`hetsim::DirectEngine`] over
+//! A test replays every kernel through [`hetsim::KernelEngine`] over
 //! several seeds and checks the observed traffic is exactly the declared
 //! set: no kernel touches a port outside its declaration (soundness), and
 //! no declaration is wider than the kernels' union of use (tightness).
@@ -101,7 +101,7 @@ pub fn ports(bench: Benchmark) -> &'static [PortMode] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsim::{DirectEngine, TaggedMemory, TraceOp};
+    use hetsim::{KernelEngine, TaggedMemory, TraceOp};
 
     /// Per-port (reads, writes) actually performed by one kernel run.
     fn observed(bench: Benchmark, seed: u64) -> Vec<(bool, bool)> {
@@ -110,7 +110,7 @@ mod tests {
         for (i, img) in bench.init(seed).iter().enumerate() {
             mem.write_bytes(layout.address(i, 0), img).unwrap();
         }
-        let mut eng = DirectEngine::new(&mut mem, layout.clone());
+        let mut eng = KernelEngine::new(&mut mem, layout.clone());
         bench.kernel(&mut eng).unwrap();
         let mut modes = vec![(false, false); bench.buffers().len()];
         let resolve = |addr: u64| {

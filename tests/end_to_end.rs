@@ -2,6 +2,8 @@
 //! real MachSuite kernels on the CapChecker-guarded system.
 
 use cheri_hetero::prelude::*;
+use cheri_hetero::{hetsim, machsuite};
+use hetsim::{TaskLayout, TraceOp};
 
 fn fine_system(class: &str, fus: usize) -> HeteroSystem {
     let mut sys = HeteroSystem::new(SystemConfig::default());
@@ -164,34 +166,95 @@ fn coarse_and_fine_agree_on_benign_results() {
     );
 }
 
+/// Rewrites every address in `trace` from `from`'s placement of the
+/// task's objects to `to`'s, so runs over different heaps compare op for
+/// op.
+fn rebase(trace: &hetsim::Trace, from: &TaskLayout, to: &TaskLayout) -> Vec<TraceOp> {
+    let map = |addr: u64| {
+        let (obj, region) = from
+            .buffers
+            .iter()
+            .enumerate()
+            .find(|(_, r)| (r.base..r.end()).contains(&addr))
+            .expect("benign kernels stay in their objects");
+        to.buffers[obj].base + (addr - region.base)
+    };
+    trace
+        .ops()
+        .iter()
+        .map(|&op| match op {
+            TraceOp::Mem {
+                addr,
+                bytes,
+                write,
+                object,
+            } => TraceOp::Mem {
+                addr: map(addr),
+                bytes,
+                write,
+                object,
+            },
+            TraceOp::Copy { src, dst, bytes } => TraceOp::Copy {
+                src: map(src),
+                dst: map(dst),
+                bytes,
+            },
+            TraceOp::Compute(units) => TraceOp::Compute(units),
+        })
+        .collect()
+}
+
 #[test]
 fn cpu_and_accelerator_compute_identical_bytes() {
-    let bench = Benchmark::FftStrided;
-    let mut accel_sys = fine_system(bench.name(), 1);
-    let a = allocate(&mut accel_sys, bench, "a", 5);
-    accel_sys
-        .run_accel_task(a, |eng| bench.kernel(eng))
-        .expect("accel runs");
-
-    let mut cpu_sys = HeteroSystem::new(SystemVariant::CheriCpu.config());
-    let c = cpu_sys
-        .allocate_task(&TaskRequest::cpu("c").rw_buffers(bench.buffers().iter().map(|b| b.size)))
-        .expect("cpu task");
-    for (obj, image) in bench.init(5).iter().enumerate() {
-        cpu_sys.write_buffer(c, obj, 0, image).expect("init");
-    }
-    cpu_sys
-        .run_cpu_task(c, |eng| bench.kernel(eng))
-        .expect("cpu runs");
-
-    for obj in 0..bench.buffers().len() {
-        let size = bench.buffers()[obj].size as usize;
-        let mut x = vec![0u8; size];
-        let mut y = vec![0u8; size];
+    for bench in Benchmark::ALL {
+        let mut accel_sys = fine_system(bench.name(), 1);
+        let a = allocate(&mut accel_sys, bench, "a", 5);
         accel_sys
-            .read_buffer(a, obj, 0, &mut x)
-            .expect("read accel");
-        cpu_sys.read_buffer(c, obj, 0, &mut y).expect("read cpu");
-        assert_eq!(x, y, "{bench}: buffer {obj} differs between targets");
+            .run_accel_task(a, |eng| bench.kernel(eng))
+            .expect("accel runs");
+
+        let mut cpu_sys = HeteroSystem::new(SystemVariant::CheriCpu.config());
+        let c = cpu_sys
+            .allocate_task(
+                &TaskRequest::cpu("c").rw_buffers(bench.buffers().iter().map(|b| b.size)),
+            )
+            .expect("cpu task");
+        for (obj, image) in bench.init(5).iter().enumerate() {
+            cpu_sys.write_buffer(c, obj, 0, image).expect("init");
+        }
+        cpu_sys
+            .run_cpu_task(c, |eng| bench.kernel(eng))
+            .expect("cpu runs");
+
+        for obj in 0..bench.buffers().len() {
+            let size = bench.buffers()[obj].size as usize;
+            let mut x = vec![0u8; size];
+            let mut y = vec![0u8; size];
+            accel_sys
+                .read_buffer(a, obj, 0, &mut x)
+                .expect("read accel");
+            cpu_sys.read_buffer(c, obj, 0, &mut y).expect("read cpu");
+            assert_eq!(x, y, "{bench}: buffer {obj} differs between targets");
+        }
+
+        // One trace for every access guard: the device path (Fine checker),
+        // the CHERI CPU's own capability check, and the unchecked reference
+        // run record the same operations. Both systems place the buffers at
+        // the same heap addresses; the reference run uses its own placement.
+        let take = |sys: &mut HeteroSystem, t| sys.take_trace(t).expect("live").expect("ran");
+        let accel_trace = take(&mut accel_sys, a);
+        let cpu_trace = take(&mut cpu_sys, c);
+        assert_eq!(
+            accel_trace.ops(),
+            cpu_trace.ops(),
+            "{bench}: device and CPU guards traced differently"
+        );
+        let reference = machsuite::kernels::check_against_reference(bench, 5).expect("reference");
+        let heap = cpu_sys.cpu_layout(c).expect("live");
+        assert_eq!(
+            rebase(&reference, &bench.place(0x1000), &heap),
+            cpu_trace.ops(),
+            "{bench}: unchecked reference traced differently"
+        );
     }
 }
